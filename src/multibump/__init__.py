@@ -15,6 +15,7 @@ from .driver import (
     ReducedEnergyResult,
     StudyRow,
     StudyTable,
+    extend_past_edge,
     maximize_reduced_energy,
     polish_and_certify,
     reduced_energy,
@@ -112,6 +113,7 @@ __all__ = [
     "eval_z1",
     "expansion_comparison",
     "expansion_constants",
+    "extend_past_edge",
     "fit_interaction_law",
     "inner_product_h1v",
     "interaction_integral",

@@ -11,6 +11,7 @@ runs with an identical config produce bit-identical outputs.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .driver import (
+    extend_past_edge,
     maximize_reduced_energy,
     polish_and_certify,
     scaling_study,
@@ -263,20 +265,69 @@ def _write_json(out_dir, name, payload):
 
 # -- stage implementations ----------------------------------------------------
 
-
-def _profile(cfg):
-    return solve_ground_state(cfg.dimension, cfg.exponent)
-
-
-def _fit_law(profile, cfg):
-    seps = np.arange(cfg.fit_d_min, cfg.fit_d_max + 0.5 * cfg.fit_d_step,
-                     cfg.fit_d_step)
-    samples = [(float(d), interaction_integral(profile, float(d))) for d in seps]
-    return fit_interaction_law(samples), samples
+# Stages that place bumps on a ring in the plane; the profile and the
+# constants stages work in any dimension.
+RING_STAGES = ("expansion", "reduce", "study", "certify")
 
 
-def _stage_ground_state(cfg, out_dir):
-    profile = _profile(cfg)
+class RunInputs:
+    """Inputs the stages of one invocation share, each computed on first use.
+
+    Holds the ground state, the expansion constants, the fitted pair
+    law with its samples and the in-window reduced-energy curve of each
+    k, so a pipeline run computes each of them once and a single stage
+    does exactly the work it needs.  Grid contexts and factorizations
+    are not kept: they are large and no two stages use the same one.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.potential = cfg.potential()
+        self.curves = {}
+
+    @functools.cached_property
+    def profile(self):
+        return solve_ground_state(self.cfg.dimension, self.cfg.exponent)
+
+    @functools.cached_property
+    def constants(self):
+        return expansion_constants(self.profile, self.potential)
+
+    @functools.cached_property
+    def fit(self):
+        """(law, samples): the fitted pair law and its (d, Psi(d)) samples."""
+        cfg = self.cfg
+        seps = np.arange(cfg.fit_d_min, cfg.fit_d_max + 0.5 * cfg.fit_d_step,
+                         cfg.fit_d_step)
+        samples = [(float(d), interaction_integral(self.profile, float(d)))
+                   for d in seps]
+        return fit_interaction_law(samples), samples
+
+    @property
+    def law(self):
+        return self.fit[0]
+
+    def curve(self, k):
+        """In-window reduced-energy curve of k >= 2."""
+        if k not in self.curves:
+            cfg = self.cfg
+            self.curves[k] = maximize_reduced_energy(
+                self.profile,
+                self.potential,
+                k,
+                n_samples=cfg.curve_samples,
+                constants=self.constants,
+                law=self.law,
+                beta=cfg.window_beta,
+                h=cfg.grid_step,
+                tol=cfg.correction_tol_h1v,
+                margin=cfg.wall_margin,
+            )
+        return self.curves[k]
+
+
+def _stage_ground_state(inputs, out_dir):
+    profile = inputs.profile
     profile.to_csv(os.path.join(out_dir, "ground_state.csv"))
     _write_json(out_dir, "ground_state.json", {
         "dimension": profile.dimension,
@@ -288,9 +339,8 @@ def _stage_ground_state(cfg, out_dir):
     return ["ground_state.csv", "ground_state.json"]
 
 
-def _stage_constants(cfg, out_dir):
-    profile = _profile(cfg)
-    consts = expansion_constants(profile, cfg.potential())
+def _stage_constants(inputs, out_dir):
+    profile, consts = inputs.profile, inputs.constants
     _write_json(out_dir, "constants.json", {
         "A": consts.A,
         "B1": consts.B1,
@@ -301,9 +351,8 @@ def _stage_constants(cfg, out_dir):
     return ["constants.json"]
 
 
-def _stage_interaction(cfg, out_dir):
-    profile = _profile(cfg)
-    law, samples = _fit_law(profile, cfg)
+def _stage_interaction(inputs, out_dir):
+    law, samples = inputs.fit
     with open(os.path.join(out_dir, "interaction.csv"), "w") as fh:
         fh.write("d,psi\n")
         for d, psi in samples:
@@ -319,14 +368,13 @@ def _stage_interaction(cfg, out_dir):
     return ["interaction.csv", "interaction.json"]
 
 
-def _stage_expansion(cfg, out_dir):
-    profile = _profile(cfg)
-    law, _ = _fit_law(profile, cfg)
+def _stage_expansion(inputs, out_dir):
+    cfg = inputs.cfg
     table = expansion_comparison(
-        profile,
-        cfg.potential(),
+        inputs.profile,
+        inputs.potential,
         cfg.k_values,
-        law=law,
+        law=inputs.law,
         beta=cfg.window_beta,
         h=cfg.grid_step,
     )
@@ -335,31 +383,17 @@ def _stage_expansion(cfg, out_dir):
     return ["expansion.csv"]
 
 
-def _stage_reduce(cfg, out_dir):
-    profile = _profile(cfg)
-    potential = cfg.potential()
-    consts = expansion_constants(profile, potential)
-    law, _ = _fit_law(profile, cfg)
+def _stage_reduce(inputs, out_dir):
     artifacts = []
     summary = {}
-    for k in cfg.k_values:
+    for k in inputs.cfg.k_values:
         if k < 2:
             summary[str(k)] = {
                 "note": "no admissible window for a single bump; "
                 "the reduced energy is radius independent"
             }
             continue
-        curve = maximize_reduced_energy(
-            profile,
-            potential,
-            k,
-            n_samples=cfg.curve_samples,
-            constants=consts,
-            law=law,
-            beta=cfg.window_beta,
-            h=cfg.grid_step,
-            tol=cfg.correction_tol_h1v,
-        )
+        curve = inputs.curve(k)
         name = f"f_curve_k{k}.csv"
         curve.to_csv(os.path.join(out_dir, name))
         artifacts.append(name)
@@ -377,54 +411,51 @@ def _stage_reduce(cfg, out_dir):
     return artifacts
 
 
-def _stage_study(cfg, out_dir, jobs=1):
-    profile = _profile(cfg)
-    potential = cfg.potential()
-    consts = expansion_constants(profile, potential)
-    law, _ = _fit_law(profile, cfg)
+def _stage_study(inputs, out_dir, jobs=1):
+    cfg = inputs.cfg
+    # Curves an earlier stage of this run found are reused; the study
+    # searches the others itself, in its worker pool.
     table = scaling_study(
-        profile,
-        potential,
+        inputs.profile,
+        inputs.potential,
         cfg.k_values,
-        constants=consts,
-        law=law,
+        constants=inputs.constants,
+        law=inputs.law,
         beta=cfg.window_beta,
         h=cfg.grid_step,
         n_samples=cfg.curve_samples,
         seed=cfg.probe_seed,
         tol=cfg.correction_tol_h1v,
         jobs=jobs,
+        margin=cfg.wall_margin,
+        radius_k1=cfg.radius_k1,
+        curves=inputs.curves,
     )
     table.to_csv(os.path.join(out_dir, "scaling.csv"))
     return ["scaling.csv"]
 
 
-def _stage_certify(cfg, out_dir):
-    profile = _profile(cfg)
-    potential = cfg.potential()
-    consts = expansion_constants(profile, potential)
-    law, _ = _fit_law(profile, cfg)
+def _stage_certify(inputs, out_dir):
+    cfg = inputs.cfg
     artifacts = []
     for k in cfg.k_values:
         if k < 2:
             r_start = cfg.radius_k1
         else:
-            curve = maximize_reduced_energy(
-                profile,
-                potential,
-                k,
-                n_samples=cfg.curve_samples,
-                constants=consts,
-                law=law,
-                beta=cfg.window_beta,
+            curve = extend_past_edge(
+                inputs.curve(k),
+                inputs.profile,
+                inputs.potential,
+                constants=inputs.constants,
+                law=inputs.law,
                 h=cfg.grid_step,
                 tol=cfg.correction_tol_h1v,
-                extend_on_boundary=True,
+                margin=cfg.wall_margin,
             )
             r_start = curve.r_max
         cert = polish_and_certify(
-            profile,
-            potential,
+            inputs.profile,
+            inputs.potential,
             k,
             r_start,
             tol=cfg.certify_tol_residual,
@@ -553,22 +584,33 @@ def _stage_report(cfg, out_dir):
     return ["plot_f_curves.csv", "plot_trend.csv", "summary.md"]
 
 
-def run_stage(name, cfg, out_dir, jobs=1):
-    """Run one stage into out_dir and return its artifact names."""
+def run_stage(name, cfg, out_dir, jobs=1, inputs=None):
+    """Run one stage into out_dir and return its artifact names.
+
+    ``inputs`` is the RunInputs shared by the stages of one invocation;
+    a fresh one is made when omitted.
+    """
+    if name in RING_STAGES and cfg.dimension != 2:
+        raise ValidationError(
+            f"the ring stages {list(RING_STAGES)} work in the plane only; "
+            f"dimension must be 2, got {cfg.dimension}"
+        )
+    if inputs is None:
+        inputs = RunInputs(cfg)
     if name == "ground-state":
-        return _stage_ground_state(cfg, out_dir)
+        return _stage_ground_state(inputs, out_dir)
     if name == "constants":
-        return _stage_constants(cfg, out_dir)
+        return _stage_constants(inputs, out_dir)
     if name == "interaction":
-        return _stage_interaction(cfg, out_dir)
+        return _stage_interaction(inputs, out_dir)
     if name == "expansion":
-        return _stage_expansion(cfg, out_dir)
+        return _stage_expansion(inputs, out_dir)
     if name == "reduce":
-        return _stage_reduce(cfg, out_dir)
+        return _stage_reduce(inputs, out_dir)
     if name == "study":
-        return _stage_study(cfg, out_dir, jobs=jobs)
+        return _stage_study(inputs, out_dir, jobs=jobs)
     if name == "certify":
-        return _stage_certify(cfg, out_dir)
+        return _stage_certify(inputs, out_dir)
     if name == "report":
         return _stage_report(cfg, out_dir)
     raise ValidationError(f"unknown stage {name!r}; expected one of {list(STAGES)}")
@@ -577,14 +619,17 @@ def run_stage(name, cfg, out_dir, jobs=1):
 def run_pipeline(cfg, out_dir, stages, jobs=1):
     """Run the requested stages in order, maintaining the manifest.
 
-    Returns the process exit code; stage failures are recorded in the
-    manifest under the stage name before the code is returned.
+    The stages share one RunInputs, so the ground state, the pair law
+    and each in-window curve are computed once per call.  Returns the
+    process exit code; stage failures are recorded in the manifest
+    under the stage name before the code is returned.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = _load_manifest(out_dir)
+    inputs = RunInputs(cfg)
     for name in stages:
         try:
-            artifacts = run_stage(name, cfg, out_dir, jobs=jobs)
+            artifacts = run_stage(name, cfg, out_dir, jobs=jobs, inputs=inputs)
         except ValidationError as exc:
             manifest["stages"][name] = {"status": "error", "error": str(exc)}
             _save_manifest(out_dir, cfg, manifest)

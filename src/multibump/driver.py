@@ -26,7 +26,8 @@ from scipy.sparse.linalg import splu
 from .errors import ContractionError, ConvergenceError, NumericalError, ValidationError
 from .geometry import admissible_radii
 from .grid import stiffness_matrix
-from .groundstate import radial_integral, solve_ground_state
+from .groundstate import radial_integral
+from .groundstate import solve_ground_state  # noqa: F401  (traced by bench/layers.py)
 from .interactions import fit_interaction_law, interaction_integral
 from .reduction import (
     CorrectionResult,
@@ -45,6 +46,7 @@ __all__ = [
     "StudyTable",
     "reduced_energy",
     "maximize_reduced_energy",
+    "extend_past_edge",
     "polish_and_certify",
     "scaling_study",
 ]
@@ -349,6 +351,32 @@ def _golden_max(fun, lo, hi, tol):
     return best_r, best_f
 
 
+def _guarded_evaluator(profile, potential, k, constants, law, h, tol, margin,
+                       evaluator, methods):
+    """r -> F(r), with -inf where no correction could be computed.
+
+    Without an ``evaluator`` each call is a full ``reduced_energy``
+    solve, and the solver it used is appended to ``methods``.
+    """
+    if evaluator is None:
+
+        def evaluator(r):
+            res = reduced_energy(
+                profile, potential, k, r, constants=constants, law=law, h=h,
+                tol=tol, margin=margin,
+            )
+            methods.append(res.method)
+            return res.value
+
+    def guarded(r):
+        try:
+            return float(evaluator(r))
+        except (ContractionError, ConvergenceError, NumericalError, ValidationError):
+            return -math.inf
+
+    return guarded
+
+
 def maximize_reduced_energy(
     profile,
     potential,
@@ -362,6 +390,7 @@ def maximize_reduced_energy(
     refine_frac=1e-3,
     evaluator=None,
     extend_on_boundary=False,
+    margin=15.0,
 ):
     """Locate the maximizer of F over the admissible window.
 
@@ -379,7 +408,7 @@ def maximize_reduced_energy(
         Bump count, k >= 2.
     n_samples : int
         Coarse scan size, at least 9.
-    constants, law, beta, h, tol
+    constants, law, beta, h, tol, margin
         Forwarded to the per-sample evaluation.
     refine_frac : float
         Refinement tolerance relative to the window length.
@@ -387,13 +416,8 @@ def maximize_reduced_energy(
         r -> F(r) replacement for the full solve; used for the
         formula-only mode and test hooks.
     extend_on_boundary : bool
-        When the argmax lands within one coarse step of the upper
-        window edge, keep stepping outward (inside the wider radius
-        range the correction solver itself validates) until F turns
-        over, then refine between the samples either side of the last
-        rising one, [upper - step, upper + step] when F already falls
-        on the first step out.  Used
-        by the certification stage, where the polish needs a start
+        Continue the finished in-window curve with ``extend_past_edge``.
+        Used by the certification stage, where the polish needs a start
         near a genuine critical point; at desk scale the turnover of F
         can sit past the nominal window.
 
@@ -412,21 +436,9 @@ def maximize_reduced_energy(
             constants = _expansion_dict(profile, potential)
         if law is None:
             law = _fit_default_law(profile)
-
-        def evaluator(r):
-            res = reduced_energy(
-                profile, potential, k, r, constants=constants, law=law, h=h, tol=tol
-            )
-            methods.append(res.method)
-            return res.value
-
     methods = []
-
-    def guarded(r):
-        try:
-            return float(evaluator(r))
-        except (ContractionError, ConvergenceError, NumericalError, ValidationError):
-            return -math.inf
+    guarded = _guarded_evaluator(profile, potential, k, constants, law, h, tol,
+                                 margin, evaluator, methods)
 
     rs = np.linspace(window.lower, window.upper, n_samples)
     vals = np.array([guarded(r) for r in rs])
@@ -447,56 +459,16 @@ def maximize_reduced_energy(
         r_max, f_max = float(rs[i_best]), float(vals[i_best])
 
     step = (window.upper - window.lower) / (n_samples - 1)
-    sample_rs = list(rs[ok])
-    sample_fs = list(vals[ok])
-    ext_methods = []
-    extended = False
-    if extend_on_boundary and window.upper - r_max < step - 1e-12:
-        slack = admissible_radii(
-            k, potential.m, beta=0.95 * potential.m / (2.0 * math.pi)
-        )
-        r_prev = window.upper - step
-        r_cur, f_cur = float(rs[-1]), float(vals[-1])
-        while math.isfinite(f_cur) and r_cur < slack.upper - 1e-9:
-            r_next = min(r_cur + step, slack.upper)
-            f_next = guarded(r_next)
-            if math.isfinite(f_next):
-                sample_rs.append(r_next)
-                sample_fs.append(f_next)
-                if methods:
-                    ext_methods.append(methods[-1])
-            if not math.isfinite(f_next) or f_next <= f_cur:
-                break
-            r_prev, r_cur, f_cur = r_cur, r_next, f_next
-        if math.isfinite(f_cur):
-            hi_end = min(r_cur + step, slack.upper)
-            r_ref, f_ref = _golden_max(guarded, r_prev, hi_end, refine_tol)
-            if f_cur > f_max:
-                r_max, f_max = r_cur, f_cur
-            if f_ref >= f_max:
-                r_max, f_max = r_ref, f_ref
-            extended = r_max > window.upper + 1e-12
     interior = (
         r_max - window.lower >= step - 1e-12
         and window.upper - r_max >= step - 1e-12
     )
-    m = potential.m
-    asym = np.array(
-        [
-            _asymptotic_energy(k, r, constants, law, m) if not formula_mode else math.nan
-            for r in sample_rs
-        ]
-    )
-    if formula_mode:
-        kept_methods = tuple("formula" for _ in sample_rs)
-    else:
-        kept_methods = scan_methods + tuple(ext_methods)
-    return ReducedEnergyCurve(
+    curve = ReducedEnergyCurve(
         k=k,
-        radii=np.array(sample_rs),
-        values=np.array(sample_fs),
-        asymptotics=asym,
-        methods=kept_methods,
+        radii=rs[ok],
+        values=vals[ok],
+        asymptotics=_asymptotics(k, rs[ok], constants, law, potential.m, formula_mode),
+        methods=("formula",) * int(ok.sum()) if formula_mode else scan_methods,
         failed_radii=tuple(float(r) for r in rs[~ok]),
         r_max=float(r_max),
         f_max=float(f_max),
@@ -504,7 +476,129 @@ def maximize_reduced_energy(
         normalized=float(r_max / (k * math.log(k))),
         lower=window.lower,
         upper=window.upper,
-        extended=bool(extended),
+        extended=False,
+    )
+    if extend_on_boundary:
+        curve = extend_past_edge(
+            curve, profile, potential, constants=constants, law=law, h=h, tol=tol,
+            refine_frac=refine_frac, evaluator=evaluator, margin=margin,
+        )
+    return curve
+
+
+def _asymptotics(k, radii, constants, law, m, formula_mode):
+    return np.array(
+        [math.nan if formula_mode else _asymptotic_energy(k, r, constants, law, m)
+         for r in radii]
+    )
+
+
+def _require_in_window(curve):
+    """Reject a curve that already holds samples past the upper edge."""
+    if curve.radii.size and curve.radii[-1] > curve.upper:
+        raise ValidationError(
+            f"the k={curve.k} curve already continues past the window edge "
+            f"r = {curve.upper:.4f}"
+        )
+
+
+def extend_past_edge(
+    curve,
+    profile,
+    potential,
+    constants=None,
+    law=None,
+    h=0.1,
+    tol=1e-8,
+    refine_frac=1e-3,
+    evaluator=None,
+    margin=15.0,
+):
+    """Continue an in-window curve past the upper edge to the turnover of F.
+
+    When the argmax of ``curve`` lies within one coarse step of the
+    upper window edge, keep stepping outward (inside the wider radius
+    range the correction solver itself validates) until F turns over,
+    then refine between the samples either side of the last rising
+    one, [upper - step, upper + step] when F already falls on the
+    first step out.  Otherwise, or when the upper-edge sample failed,
+    no radius is evaluated and the result equals ``curve``.  The
+    window samples and the evaluations behind ``curve`` are reused, so
+    ``maximize_reduced_energy(..., extend_on_boundary=True)`` is the
+    in-window search followed by this continuation.
+
+    Parameters
+    ----------
+    curve : ReducedEnergyCurve
+        In-window result of ``maximize_reduced_energy``.
+    profile, potential, constants, law, h, tol, margin, evaluator
+        As given to ``maximize_reduced_energy`` for ``curve``.
+    refine_frac : float
+        Refinement tolerance relative to the window length.
+
+    Returns
+    -------
+    ReducedEnergyCurve
+        ``extended`` is True when r_max lies past the upper edge.
+    """
+    _require_in_window(curve)
+    k, lower, upper = curve.k, curve.lower, curve.upper
+    step = (upper - lower) / (curve.radii.size + len(curve.failed_radii) - 1)
+    if upper - curve.r_max >= step - 1e-12:
+        return curve
+    formula_mode = evaluator is not None
+    if not formula_mode:
+        if constants is None:
+            constants = _expansion_dict(profile, potential)
+        if law is None:
+            law = _fit_default_law(profile)
+    methods = []
+    guarded = _guarded_evaluator(profile, potential, k, constants, law, h, tol,
+                                 margin, evaluator, methods)
+
+    slack = admissible_radii(k, potential.m, beta=0.95 * potential.m / (2.0 * math.pi))
+    edge_ok = curve.radii.size and curve.radii[-1] == upper
+    r_prev = upper - step
+    r_cur = upper
+    f_cur = float(curve.values[-1]) if edge_ok else -math.inf
+    ext_rs, ext_fs, ext_methods = [], [], []
+    while math.isfinite(f_cur) and r_cur < slack.upper - 1e-9:
+        r_next = min(r_cur + step, slack.upper)
+        f_next = guarded(r_next)
+        if math.isfinite(f_next):
+            ext_rs.append(r_next)
+            ext_fs.append(f_next)
+            ext_methods.append("formula" if formula_mode else methods[-1])
+        if not math.isfinite(f_next) or f_next <= f_cur:
+            break
+        r_prev, r_cur, f_cur = r_cur, r_next, f_next
+    r_max, f_max = curve.r_max, curve.f_max
+    if math.isfinite(f_cur):
+        refine_tol = refine_frac * (upper - lower)
+        r_ref, f_ref = _golden_max(guarded, r_prev, min(r_cur + step, slack.upper),
+                                   refine_tol)
+        if f_cur > f_max:
+            r_max, f_max = r_cur, f_cur
+        if f_ref >= f_max:
+            r_max, f_max = r_ref, f_ref
+    interior = r_max - lower >= step - 1e-12 and upper - r_max >= step - 1e-12
+    return ReducedEnergyCurve(
+        k=k,
+        radii=np.concatenate([curve.radii, ext_rs]),
+        values=np.concatenate([curve.values, ext_fs]),
+        asymptotics=np.concatenate([
+            curve.asymptotics,
+            _asymptotics(k, ext_rs, constants, law, potential.m, formula_mode),
+        ]),
+        methods=curve.methods + tuple(ext_methods),
+        failed_radii=curve.failed_radii,
+        r_max=float(r_max),
+        f_max=float(f_max),
+        interior=bool(interior),
+        normalized=float(r_max / (k * math.log(k))),
+        lower=lower,
+        upper=upper,
+        extended=bool(r_max > upper + 1e-12),
     )
 
 
@@ -870,17 +964,19 @@ class StudyTable:
                 )
 
 
-def _study_row(profile, potential, k, beta, h, n_samples, seed, tol, constants, law):
+def _study_row(profile, potential, k, curve, beta, h, n_samples, seed, tol,
+               constants, law, margin, radius_k1):
+    """One study row; ``curve`` is the in-window curve of k, or None to search."""
     if k == 1:
-        r_fixed = 10.0
-        ctx = build_reduction_context(profile, potential, 1, r_fixed, h=h)
+        ctx = build_reduction_context(profile, potential, 1, radius_k1, h=h,
+                                      margin=margin)
         corr, _ = _solve_with_rescue(ctx, tol=tol)
         rep = riesz_lk(ctx)
         rho = coercivity_probe(ctx, seed=seed)
         f_val = _energy_value(ctx, ctx.w_ansatz + ctx.flat(corr.phi))
         return StudyRow(
             k=1,
-            r_k=r_fixed,
+            r_k=radius_k1,
             normalized=math.nan,
             phi_norm=corr.norm,
             l_norm=rep.norm,
@@ -888,18 +984,20 @@ def _study_row(profile, potential, k, beta, h, n_samples, seed, tol, constants, 
             f_over_k=f_val,
             interior=True,
         )
-    curve = maximize_reduced_energy(
-        profile,
-        potential,
-        k,
-        n_samples=n_samples,
-        constants=constants,
-        law=law,
-        beta=beta,
-        h=h,
-        tol=tol,
-    )
-    ctx = build_reduction_context(profile, potential, k, curve.r_max, h=h)
+    if curve is None:
+        curve = maximize_reduced_energy(
+            profile,
+            potential,
+            k,
+            n_samples=n_samples,
+            constants=constants,
+            law=law,
+            beta=beta,
+            h=h,
+            tol=tol,
+            margin=margin,
+        )
+    ctx = build_reduction_context(profile, potential, k, curve.r_max, h=h, margin=margin)
     corr, _ = _solve_with_rescue(ctx, tol=tol)
     rep = riesz_lk(ctx)
     rho = coercivity_probe(ctx, seed=seed)
@@ -916,13 +1014,7 @@ def _study_row(profile, potential, k, beta, h, n_samples, seed, tol, constants, 
 
 
 def _study_row_remote(args):
-    (dimension, exponent, pot_params, k, beta, h, n_samples, seed, tol, constants,
-     law) = args
-    from .geometry import PotentialSpec
-
-    profile = solve_ground_state(dimension, exponent)
-    potential = PotentialSpec(*pot_params)
-    return _study_row(profile, potential, k, beta, h, n_samples, seed, tol, constants, law)
+    return _study_row(*args)
 
 
 def scaling_study(
@@ -937,6 +1029,9 @@ def scaling_study(
     seed=0,
     tol=1e-8,
     jobs=1,
+    margin=15.0,
+    radius_k1=10.0,
+    curves=None,
 ):
     """Run the k ladder and collect the scaling table.
 
@@ -950,11 +1045,18 @@ def scaling_study(
     constants, law
         Expansion constants and interaction law; computed once here
         when omitted.
-    beta, h, n_samples, seed, tol
-        Window, grid, scan, probe-seed, and correction parameters.
+    beta, h, n_samples, seed, tol, margin
+        Window, grid, scan, probe-seed, correction and Dirichlet-margin
+        parameters.
     jobs : int
         Worker processes; rows are computed independently and merged
         by k, so the output is identical for any job count.
+    radius_k1 : float
+        Ring radius of the k = 1 row.
+    curves : mapping of int to ReducedEnergyCurve, optional
+        In-window curves (``maximize_reduced_energy`` with the same
+        window, grid and scan settings) for some or all k; their
+        search is skipped, the other k are searched here.
 
     Returns
     -------
@@ -963,33 +1065,24 @@ def scaling_study(
     ks = [int(k) for k in ks]
     if ks != sorted(ks) or len(set(ks)) != len(ks):
         raise ValidationError(f"k ladder must be strictly increasing, got {ks}")
+    curves = dict(curves or {})
+    for k, curve in curves.items():
+        if curve.k != k:
+            raise ValidationError(f"curve for k={curve.k} supplied under k={k}")
+        _require_in_window(curve)
     if constants is None:
         constants = _expansion_dict(profile, potential)
     if law is None and any(k >= 2 for k in ks):
         law = _fit_default_law(profile)
+    args = [
+        (profile, potential, k, curves.get(k), beta, h, n_samples, seed, tol,
+         constants, law, margin, radius_k1)
+        for k in ks
+    ]
     if jobs > 1:
-        args = [
-            (
-                profile.dimension,
-                profile.exponent,
-                (potential.a, potential.m),
-                k,
-                beta,
-                h,
-                n_samples,
-                seed,
-                tol,
-                constants,
-                law,
-            )
-            for k in ks
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_study_row_remote, args))
     else:
-        rows = [
-            _study_row(profile, potential, k, beta, h, n_samples, seed, tol, constants, law)
-            for k in ks
-        ]
+        rows = [_study_row(*a) for a in args]
     rows.sort(key=lambda row: row.k)
     return StudyTable(rows=tuple(rows), decay_power=potential.m)

@@ -12,8 +12,8 @@ import subprocess
 
 import pytest
 
-from multibump import ValidationError
-from multibump.cli import RunConfig, main
+from multibump import ValidationError, cli, driver
+from multibump.cli import RING_STAGES, STAGES, RunConfig, main, run_pipeline
 
 LIGHT_CONFIG = {
     "dimension": 2,
@@ -22,6 +22,9 @@ LIGHT_CONFIG = {
     "grid_step": 0.15,
     "curve_samples": 9,
 }
+
+# Certifies in seconds: one k on a coarse grid.
+CHEAP_CONFIG = {"k_values": [6], "grid_step": 0.25, "curve_samples": 9}
 
 EXPECTED_ARTIFACTS = [
     "ground_state.csv",
@@ -181,3 +184,98 @@ def test_report_is_idempotent(pipeline_dirs, capsys):
     assert main(["--stage", "report", "--config", cfg, "--out", str(out1)]) == 0
     capsys.readouterr()
     assert hash_tree(out1) == before
+
+
+@pytest.mark.parametrize("stage", RING_STAGES)
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_ring_stages_refuse_other_dimensions(tmp_path, capsys, stage, dimension):
+    cfg = write_config(tmp_path, {"dimension": dimension})
+    out = tmp_path / "out"
+    assert main([stage, "--config", cfg, "--out", str(out)]) == 2
+    assert f"dimension must be 2, got {dimension}" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages"][stage]["status"] == "error"
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_profile_stages_accept_other_dimensions(tmp_path, dimension):
+    cfg = write_config(tmp_path, {"dimension": dimension})
+    out = tmp_path / "out"
+    for stage in ("ground-state", "constants"):
+        assert main([stage, "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "ground_state.json").read_text())
+    assert meta["dimension"] == dimension
+    assert json.loads((out / "constants.json").read_text())["A"] > 0.0
+
+
+def _counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.fixture(scope="module")
+def shared_runs(tmp_path_factory):
+    """CHEAP_CONFIG through one `all` call, counting the work it does,
+    and through one call per stage into a second directory."""
+    base = tmp_path_factory.mktemp("shared")
+    cfg = write_config(base, CHEAP_CONFIG)
+    counts = {"ground_states": [], "fits": [], "f_evals": []}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "solve_ground_state",
+                   _counting(counts["ground_states"], cli.solve_ground_state))
+        mp.setattr(cli, "fit_interaction_law",
+                   _counting(counts["fits"], cli.fit_interaction_law))
+        mp.setattr(driver, "reduced_energy",
+                   _counting(counts["f_evals"], driver.reduced_energy))
+        code_all = main(["all", "--jobs", "1", "--config", cfg,
+                         "--out", str(base / "all")])
+    codes = [main([stage, "--config", cfg, "--out", str(base / "staged")])
+             for stage in STAGES]
+    return base, code_all, codes, counts
+
+
+def test_stages_run_alone_match_one_pipeline_call(shared_runs):
+    base, code_all, codes, _ = shared_runs
+    assert code_all == 0 and codes == [0] * len(STAGES)
+    assert hash_tree(base / "all") == hash_tree(base / "staged")
+
+
+def test_pipeline_computes_each_input_once(shared_runs):
+    _, _, _, counts = shared_runs
+    assert len(counts["ground_states"]) == 1
+    assert len(counts["fits"]) == 1
+    radii = [(args[2], args[3]) for args in counts["f_evals"]]
+    assert radii, "no reduced-energy evaluation recorded"
+    assert len(set(radii)) == len(radii), "F evaluated twice at one (k, r)"
+
+
+def _study_column(path, name):
+    header, *rows = path.read_text().splitlines()
+    col = header.split(",").index(name)
+    return [row.split(",")[col] for row in rows]
+
+
+def test_wall_margin_reaches_reduce_and_study(shared_runs, tmp_path):
+    base = shared_runs[0]
+    cfg = RunConfig.from_mapping(dict(CHEAP_CONFIG, wall_margin=20.0))
+    assert run_pipeline(cfg, str(tmp_path), ["reduce", "study"]) == 0
+    default = base / "staged"
+    assert ((tmp_path / "f_curve_k6.csv").read_bytes()
+            != (default / "f_curve_k6.csv").read_bytes())
+    # phi_norm comes from the study's own context at r_k, not from the curve
+    assert (_study_column(tmp_path / "scaling.csv", "phi_norm")
+            != _study_column(default / "scaling.csv", "phi_norm"))
+
+
+def test_radius_k1_reaches_the_single_bump_row(tmp_path):
+    radii = {}
+    for radius in (10.0, 12.0):
+        cfg = RunConfig.from_mapping(
+            {"k_values": [1], "grid_step": 0.25, "radius_k1": radius}
+        )
+        out = tmp_path / str(radius)
+        assert run_pipeline(cfg, str(out), ["study"]) == 0
+        radii[radius] = float(_study_column(out / "scaling.csv", "r_k")[0])
+    assert radii == {10.0: 10.0, 12.0: 12.0}

@@ -1,5 +1,6 @@
 """Reduced-energy maximization, scaling study, and Newton certification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from scipy.optimize import brentq
 from multibump import (
     ContractionError,
     NumericalError,
+    ReducedEnergyCurve,
     ValidationError,
     admissible_radii,
     build_reduction_context,
     energy_functional,
+    extend_past_edge,
     maximize_reduced_energy,
     polish_and_certify,
     reduced_energy,
@@ -151,6 +154,73 @@ def test_boundary_extension_refines_a_turnover_within_one_step(potential):
     assert curve.r_max == pytest.approx(r_star, abs=1e-3 * window.width)
 
 
+def assert_same_curve(a, b):
+    for field in dataclasses.fields(ReducedEnergyCurve):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+        else:
+            assert x == y, field.name
+
+
+def _turnover_out(steps):
+    """Parabola peaking ``steps`` coarse steps past the k = 8 window edge."""
+    def make(window, step):
+        r_star = window.upper + steps * step
+        return lambda r: -(r - r_star) ** 2
+    return make
+
+
+def _edge_sample_fails(window, step):
+    """F rises across the window but no correction exists at the edge."""
+    def f(r):
+        if r > window.upper - 0.01 * step:
+            raise ContractionError("no correction here")
+        return r
+    return f
+
+
+@pytest.mark.parametrize(
+    "make, extended",
+    [(_turnover_out(3.6), True), (_turnover_out(0.4), True),
+     (_edge_sample_fails, False)],
+    ids=["several-steps-out", "first-step-falls", "edge-sample-fails"],
+)
+def test_extension_continues_the_in_window_curve(potential, make, extended):
+    """Search-then-extend equals the one-call extended search, field for
+    field, and the continuation only evaluates radii past the edge."""
+    k = 8
+    window = admissible_radii(k, potential.m, beta=0.1)
+    step = window.width / 10
+    calls = []
+    f = make(window, step)
+
+    def counted(r):
+        calls.append(r)
+        return f(r)
+
+    in_window = maximize_reduced_energy(None, potential, k, n_samples=11,
+                                        evaluator=counted)
+    n_search = len(calls)
+    continued = extend_past_edge(in_window, None, potential, evaluator=counted)
+    two_calls = list(calls)
+    del calls[:]
+    one_call = maximize_reduced_energy(None, potential, k, n_samples=11,
+                                       evaluator=counted, extend_on_boundary=True)
+    assert_same_curve(continued, one_call)
+    assert calls == two_calls  # same radii, in the same order
+    assert continued.extended == extended
+    extension = two_calls[n_search:]
+    if extended:
+        assert min(extension) > window.upper - step
+        with pytest.raises(ValidationError, match="already continues"):
+            extend_past_edge(continued, None, potential, evaluator=counted)
+    else:
+        assert extension == []
+        assert window.upper in continued.failed_radii
+        assert_same_curve(continued, in_window)
+
+
 def test_curve_csv(profile2d, potential, constants2d, law2d, tmp_path):
     curve = maximize_reduced_energy(profile2d, potential, 8, n_samples=9,
                                     constants=constants2d, law=law2d, h=0.2)
@@ -196,6 +266,28 @@ def test_study_parallel_rows_match_serial(profile2d, potential, constants2d, law
     serial = scaling_study(profile2d, potential, (6,), jobs=1, **kwargs)
     parallel = scaling_study(profile2d, potential, (6,), jobs=2, **kwargs)
     assert serial.rows == parallel.rows
+
+
+def test_study_rows_from_supplied_curves_match_its_own_search(
+    profile2d, potential, constants2d, law2d
+):
+    kwargs = dict(constants=constants2d, law=law2d, h=0.15, n_samples=9)
+    curve = maximize_reduced_energy(profile2d, potential, 6, **kwargs)
+    searched = scaling_study(profile2d, potential, (6,), **kwargs)
+    supplied = scaling_study(profile2d, potential, (6,), curves={6: curve}, **kwargs)
+    assert supplied.rows == searched.rows
+
+
+def test_study_refuses_curves_it_cannot_use(potential):
+    window = admissible_radii(6, potential.m, beta=0.1)
+    continued = maximize_reduced_energy(
+        None, potential, 6, evaluator=lambda r: -(r - window.upper - 0.5) ** 2,
+        extend_on_boundary=True,
+    )
+    with pytest.raises(ValidationError, match="already continues"):
+        scaling_study(None, potential, (6,), curves={6: continued})
+    with pytest.raises(ValidationError, match="supplied under k=8"):
+        scaling_study(None, potential, (8,), curves={8: continued})
 
 
 @pytest.fixture(scope="module")
