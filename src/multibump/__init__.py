@@ -46,9 +46,9 @@ from .grid import (
     build_aligned_sector_grid,
     build_sector_grid,
     energy_functional,
+    gram_matrix,
     inner_product_h1v,
     pde_residual,
-    stiffness_apply,
     stiffness_matrix,
 )
 from .groundstate import (
@@ -115,6 +115,7 @@ __all__ = [
     "expansion_constants",
     "extend_past_edge",
     "fit_interaction_law",
+    "gram_matrix",
     "inner_product_h1v",
     "interaction_integral",
     "maximize_reduced_energy",

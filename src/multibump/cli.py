@@ -91,7 +91,8 @@ class RunConfig:
         ValidationError
             With every problem listed, one per line, when any key is
             unknown, badly typed, or violates a downstream
-            precondition.
+            precondition.  Numbers must be finite, integers integral,
+            and a JSON true or false is never read as a number.
         """
         known = {f.name: f.type for f in fields(cls)}
         errors = []
@@ -102,18 +103,13 @@ class RunConfig:
                 continue
             try:
                 if key == "k_values":
-                    vals = tuple(int(v) for v in raw)
-                    if any(int(v) != v for v in raw):
-                        raise ValueError
-                    values[key] = vals
+                    values[key] = tuple(_finite_number(v, integral=True) for v in raw)
                 elif key in ("dimension", "curve_samples", "probe_seed"):
-                    if int(raw) != raw:
-                        raise ValueError
-                    values[key] = int(raw)
+                    values[key] = _finite_number(raw, integral=True)
                 elif key == "output_dir":
                     values[key] = str(raw)
                 else:
-                    values[key] = float(raw)
+                    values[key] = _finite_number(raw, integral=False)
             except (TypeError, ValueError):
                 errors.append(f"{key}: cannot interpret {raw!r}")
         if errors:
@@ -207,6 +203,20 @@ class RunConfig:
 
     def potential(self):
         return PotentialSpec(a=self.amplitude, m=self.decay_power)
+
+
+def _finite_number(raw, integral):
+    """raw as a finite float, or as an int when ``integral``; ValueError otherwise."""
+    if isinstance(raw, bool):
+        raise ValueError(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    if integral:
+        if int(value) != raw:
+            raise ValueError(raw)
+        return int(value)
+    return value
 
 
 def load_config(path):
@@ -377,6 +387,7 @@ def _stage_expansion(inputs, out_dir):
         law=inputs.law,
         beta=cfg.window_beta,
         h=cfg.grid_step,
+        margin=cfg.wall_margin,
     )
     with open(os.path.join(out_dir, "expansion.csv"), "w") as fh:
         fh.write(table.to_csv())

@@ -25,8 +25,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ContractionError, ConvergenceError, NumericalError, ValidationError
 from .geometry import admissible_radii
-from .grid import stiffness_matrix
-from .groundstate import radial_integral
+from .grid import energy_functional, stiffness_matrix
+from .groundstate import expansion_constants
 from .groundstate import solve_ground_state  # noqa: F401  (traced by bench/layers.py)
 from .interactions import fit_interaction_law, interaction_integral
 from .reduction import (
@@ -54,43 +54,16 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _expansion_dict(profile, potential):
-    """Constants A and B1 from radial integrals of the profile."""
-    p = profile.exponent
-    a_const = (0.5 - 1.0 / (p + 1.0)) * radial_integral(profile, p + 1.0)
-    b1 = 0.5 * potential.a * radial_integral(profile, 2.0)
-    return {"A": float(a_const), "B1": float(b1)}
-
-
 def _fit_default_law(profile):
     ds = np.arange(8.0, 16.0 + 1e-9, 2.0)
     return fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
 
 
-def _energy_value(ctx, u):
-    """Discrete energy I(u) in the context quadrature."""
-    p = ctx.exponent
-    quartic = 2.0 * ctx.k * float(np.sum(ctx.weights * np.abs(u) ** (p + 1.0)))
-    return 0.5 * ctx.inner(u, u) - quartic / (p + 1.0)
-
-
 def _asymptotic_energy(k, r, constants, law, m):
-    """k (A + B1/r^m - Psi(2 r sin(pi/k))) with the fitted law.
-
-    constants may be a mapping with keys A, B1 or any object carrying
-    those attributes (ExpansionConstants in particular).
-    """
-    if constants is None:
-        return math.nan
-    a_const = getattr(constants, "A", None)
-    b1 = getattr(constants, "B1", None)
-    if a_const is None:
-        a_const, b1 = constants["A"], constants["B1"]
-    tail = a_const + b1 / r**m
+    """k (A + B1/r^m - Psi(2 r sin(pi/k))) with the fitted law; A + B1/r^m at k = 1."""
+    tail = constants.A + constants.B1 / r**m
     if k == 1:
         return tail
-    if law is None:
-        return math.nan
     return k * (tail - float(law.predict(2.0 * r * math.sin(math.pi / k))))
 
 
@@ -244,8 +217,8 @@ def reduced_energy(
         Bump count.
     r : float
         Ring radius inside the admissible window.
-    constants : mapping, optional
-        Keys A and B1; recomputed from the profile when omitted.
+    constants : ExpansionConstants, optional
+        A and B1; computed from the profile when omitted.
     law : InteractionLaw, optional
         Fitted interaction law; fitted on d in [8, 16] when omitted
         and k >= 2.
@@ -259,14 +232,14 @@ def reduced_energy(
     ReducedEnergyResult
     """
     if constants is None:
-        constants = _expansion_dict(profile, potential)
+        constants = expansion_constants(profile, potential)
     if law is None and k >= 2:
         law = _fit_default_law(profile)
     ctx = build_reduction_context(profile, potential, k, r, h=h, margin=margin)
     corr, method = _solve_with_rescue(ctx, tol=tol, rescue=rescue)
-    u = ctx.w_ansatz + ctx.flat(corr.phi)
     return ReducedEnergyResult(
-        value=_energy_value(ctx, u),
+        value=energy_functional(ctx.field(ctx.w_ansatz) + corr.phi, ctx.gram,
+                                ctx.exponent),
         asymptotic=_asymptotic_energy(k, r, constants, law, potential.m),
         correction=corr,
         method=method,
@@ -433,7 +406,7 @@ def maximize_reduced_energy(
     formula_mode = evaluator is not None
     if not formula_mode:
         if constants is None:
-            constants = _expansion_dict(profile, potential)
+            constants = expansion_constants(profile, potential)
         if law is None:
             law = _fit_default_law(profile)
     methods = []
@@ -549,7 +522,7 @@ def extend_past_edge(
     formula_mode = evaluator is not None
     if not formula_mode:
         if constants is None:
-            constants = _expansion_dict(profile, potential)
+            constants = expansion_constants(profile, potential)
         if law is None:
             law = _fit_default_law(profile)
     methods = []
@@ -673,7 +646,8 @@ def _pin_critical_radius(base, r_k, tol):
                     h=base.h, grid=base.grid, reuse=base,
                 )
                 corr = solve_correction(ctx, tol=tol, validate_window=False)
-                val = _energy_value(ctx, ctx.w_ansatz + ctx.flat(corr.phi))
+                val = energy_functional(ctx.field(ctx.w_ansatz) + corr.phi, ctx.gram,
+                                        ctx.exponent)
                 cache[r] = (val, ctx, corr)
             except (ContractionError, ConvergenceError, NumericalError,
                     ValidationError):
@@ -895,7 +869,7 @@ def polish_and_certify(
         k=ctx.k,
         r_k=r_used,
         steps=steps,
-        energy=_energy_value(ctx, u),
+        energy=energy_functional(ctx.field(u), ctx.gram, ctx.exponent),
     )
 
 
@@ -973,7 +947,8 @@ def _study_row(profile, potential, k, curve, beta, h, n_samples, seed, tol,
         corr, _ = _solve_with_rescue(ctx, tol=tol)
         rep = riesz_lk(ctx)
         rho = coercivity_probe(ctx, seed=seed)
-        f_val = _energy_value(ctx, ctx.w_ansatz + ctx.flat(corr.phi))
+        f_val = energy_functional(ctx.field(ctx.w_ansatz) + corr.phi, ctx.gram,
+                                  ctx.exponent)
         return StudyRow(
             k=1,
             r_k=radius_k1,
@@ -1071,7 +1046,7 @@ def scaling_study(
             raise ValidationError(f"curve for k={curve.k} supplied under k={k}")
         _require_in_window(curve)
     if constants is None:
-        constants = _expansion_dict(profile, potential)
+        constants = expansion_constants(profile, potential)
     if law is None and any(k >= 2 for k in ks):
         law = _fit_default_law(profile)
     args = [

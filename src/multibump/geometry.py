@@ -32,6 +32,10 @@ class PotentialSpec:
     m: float = 2.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.m)):
+            raise ValidationError(
+                f"potential parameters must be finite, got a={self.a}, m={self.m}"
+            )
         if self.a < 0.0:
             raise ValidationError(f"potential amplitude a must be >= 0, got {self.a}")
         if self.m <= 1.0:

@@ -11,9 +11,10 @@ discrete integration by parts identity
 
     sum_faces (du) (dv) coeff  ==  - sum_cells (div grad u) v area
 
-hold to round-off by construction.  The strong Laplacian used by
-``apply_hamiltonian`` is defined as K(u)/area, so operator, energy and
-residual evaluations are mutually consistent.
+hold to round-off by construction.  The assembled sparse K is the only
+stiffness operator: the strong Laplacian used by ``apply_hamiltonian``
+is K u / area and the H^1_V Gram matrix is K + diag(area V), so
+operator, energy and residual evaluations are mutually consistent.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ __all__ = [
     "Field",
     "build_sector_grid",
     "build_aligned_sector_grid",
-    "stiffness_apply",
     "stiffness_matrix",
+    "gram_matrix",
     "apply_hamiltonian",
     "inner_product_h1v",
     "energy_functional",
@@ -231,104 +232,90 @@ def _face_coefficients(grid):
     return coef_r, coef_t, coef_dir
 
 
-def stiffness_apply(grid, values):
-    """Apply the stiffness operator K: (Ku)_c = sum of face fluxes out of c.
-
-    K represents the Dirichlet form: u.K(u) summed over cells equals the
-    discrete integral of |grad u|^2 over the sector (with the outer wall
-    clamped to zero and even reflection across the straight edges).
-    """
-    coef_r, coef_t, coef_dir = _face_coefficients(grid)
-    u = values
-    out = np.zeros_like(u)
-    flux = coef_r[:, None] * (u[1:, :] - u[:-1, :])
-    out[:-1, :] -= flux
-    out[1:, :] += flux
-    tflux = coef_t[:, None] * (u[:, 1:] - u[:, :-1])
-    out[:, :-1] -= tflux
-    out[:, 1:] += tflux
-    out[-1, :] += coef_dir * u[-1, :]
-    return out
-
-
 def stiffness_matrix(grid):
-    """Assemble K as a CSR matrix over flattened (rho, theta) ordering."""
+    """Assemble K as a CSR matrix over flattened (rho, theta) ordering.
+
+    K represents the Dirichlet form: u.K(u) equals the discrete integral
+    of |grad u|^2 over the sector (with the outer wall clamped to zero
+    and even reflection across the straight edges).  Each face couples
+    its two cells with -coeff; the diagonal collects the coefficients
+    of a cell's faces and, on the last row, the Dirichlet term.
+    """
     g = grid
     coef_r, coef_t, coef_dir = _face_coefficients(g)
-    n = g.n_cells
-    nt = g.n_theta
+    n, nt = g.n_cells, g.n_theta
+    diag = np.zeros(g.shape)
+    diag[1:] += coef_r[:, None]
+    diag[:-1] += coef_r[:, None]
+    diag[:, :-1] += coef_t[:, None]
+    diag[:, 1:] += coef_t[:, None]
+    diag[-1] += coef_dir
+    # Row (i, j) holds columns (i-1, j), (i, j-1), (i, j), (i, j+1),
+    # (i+1, j) in ascending order, less those past the grid's edges.
+    cell = np.arange(n).reshape(g.shape)
+    cols = np.stack([cell - nt, cell - 1, cell, cell + 1, cell + nt], axis=-1)
+    vals = np.zeros(g.shape + (5,))
+    vals[1:, :, 0] = -coef_r[:, None]
+    vals[:, 1:, 1] = -coef_t[:, None]
+    vals[..., 2] = diag
+    vals[:, :-1, 3] = -coef_t[:, None]
+    vals[:-1, :, 4] = -coef_r[:, None]
+    keep = np.ones(g.shape + (5,), dtype=bool)
+    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    indptr = np.concatenate([[0], np.cumsum(keep.reshape(n, 5).sum(axis=1))])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
-    def idx(i, j):
-        return i * nt + j
 
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for i in range(g.n_rho - 1):
-        c = coef_r[i]
-        a = idx(i, np.arange(nt))
-        b = idx(i + 1, np.arange(nt))
-        rows.extend([a, b])
-        cols.extend([b, a])
-        vals.extend([np.full(nt, -c), np.full(nt, -c)])
-        diag[a] += c
-        diag[b] += c
-    for i in range(g.n_rho):
-        c = coef_t[i]
-        a = idx(i, np.arange(nt - 1))
-        b = a + 1
-        rows.extend([a, b])
-        cols.extend([b, a])
-        vals.extend([np.full(nt - 1, -c), np.full(nt - 1, -c)])
-        diag[a] += c
-        diag[b] += c
-    diag[idx(g.n_rho - 1, np.arange(nt))] += coef_dir
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def gram_matrix(grid, potential):
+    """Gram matrix G = K + diag(area * V) of the H^1_V form.
+
+    2k u.G v is the full-plane inner product of two symmetric fields.
+    """
+    areas = grid.cell_areas().reshape(-1)
+    v_of_r = np.repeat(np.asarray(potential(grid.rho), dtype=float), grid.n_theta)
+    return stiffness_matrix(grid) + sp.diags(areas * v_of_r)
 
 
 def apply_hamiltonian(field, potential):
     """Evaluate (-Laplace + V) u at the cell centers.
 
-    The Laplacian is the stiffness application divided by the cell area,
-    which is the finite-volume strong form.  ``potential`` is a callable
-    of radius.
+    The Laplacian is K u divided by the cell area, which is the
+    finite-volume strong form.  ``potential`` is a callable of radius.
     """
     g = field.grid
     v_of_r = np.asarray(potential(g.rho), dtype=float)
-    lap = stiffness_apply(g, field.values) / g.cell_areas()
-    return Field(g, lap + v_of_r[:, None] * field.values)
+    ku = (stiffness_matrix(g) @ field.values.reshape(-1)).reshape(g.shape)
+    return Field(g, ku / g.cell_areas() + v_of_r[:, None] * field.values)
 
 
 def inner_product_h1v(u, v, potential):
     """Full-space H^1_V inner product of two symmetric fields.
 
-    Computes 2k * [ sum_faces coeff du dv + sum_cells V u v area ] so the
-    value matches integral(grad u . grad v + V u v) over the whole plane.
+    Computes 2k u.G v so the value matches
+    integral(grad u . grad v + V u v) over the whole plane.
     """
     g = u.grid
     if v.grid is not g and v.grid != u.grid:
         raise ValidationError("fields live on different grids")
-    ku = stiffness_apply(g, u.values)
-    grad_term = float(np.sum(ku * v.values))
-    v_of_r = np.asarray(potential(g.rho), dtype=float)
-    mass_term = float(np.sum(v_of_r[:, None] * u.values * v.values * g.cell_areas()))
-    return 2.0 * g.k * (grad_term + mass_term)
+    gram = gram_matrix(g, potential)
+    return 2.0 * g.k * float(u.values.reshape(-1) @ (gram @ v.values.reshape(-1)))
 
 
-def energy_functional(u, potential, exponent):
+def energy_functional(u, gram, exponent):
     """Action integral I(u) over the full plane for a symmetric field.
 
     I(u) = 1/2 int |grad u|^2 + V u^2  -  1/(p+1) int |u|^{p+1}.
+
+    ``gram`` is the Gram matrix of u's grid and potential, from
+    ``gram_matrix`` or a reduction context that already holds it; the
+    quadratic part is 2k u.G u.
     """
     g = u.grid
-    quad = float(inner_product_h1v(u, u, potential))
-    power = np.abs(u.values) ** (exponent + 1.0)
-    return 0.5 * quad - g.full_integral(power) / (exponent + 1.0)
+    flat = u.values.reshape(-1)
+    quad = 2.0 * g.k * float(flat @ (gram @ flat))
+    areas = g.cell_areas().reshape(-1)
+    power = 2.0 * g.k * float(np.sum(areas * np.abs(flat) ** (exponent + 1.0)))
+    return 0.5 * quad - power / (exponent + 1.0)
 
 
 def pde_residual(u, potential, exponent):

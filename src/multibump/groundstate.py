@@ -54,6 +54,17 @@ def _nonlinearity(u, exponent):
     return np.sign(u) * np.abs(u) ** exponent
 
 
+def _radial_rhs(dimension, exponent):
+    """First-order form (U, U')' = rhs(s, (U, U')) of the radial ODE."""
+
+    def rhs(s, y):
+        u, du = y
+        friction = (dimension - 1) / s * du if s > 0 else 0.0
+        return [du, u - _nonlinearity(u, exponent) - friction]
+
+    return rhs
+
+
 @dataclass
 class RadialProfile:
     """Sampled radial ground state with far-field continuation.
@@ -134,10 +145,6 @@ class RadialProfile:
         res = -d2[core] - (self.dimension - 1) / s * dv + v - v**self.exponent
         return float(np.max(np.abs(res)))
 
-    def log_derivative_at_end(self) -> float:
-        """-(ln U)'(s_max), which tends to 1 in the far field."""
-        return float(-self.derivatives[-1] / self.values[-1])
-
     def validate(self) -> None:
         if not np.all(self.values > 0.0):
             raise ValidationError("profile values must be strictly positive")
@@ -216,11 +223,6 @@ def classify_trajectory(alpha: float, dimension: int, exponent: float,
     large) and "turns" when U' vanishes while U > 0 (alpha too small).
     """
 
-    def rhs(s, y):
-        u, du = y
-        friction = (dimension - 1) / s * du if s > 0 else 0.0
-        return [du, u - _nonlinearity(u, exponent) - friction]
-
     def ev_cross(s, y):
         return y[0]
 
@@ -235,8 +237,8 @@ def classify_trajectory(alpha: float, dimension: int, exponent: float,
 
     s0 = 1e-3
     y0 = _series_start(alpha, s0, dimension, exponent)
-    sol = solve_ivp(rhs, (s0, s_end), y0, method="RK45", rtol=1e-10, atol=1e-12,
-                    events=(ev_cross, ev_turn))
+    sol = solve_ivp(_radial_rhs(dimension, exponent), (s0, s_end), y0, method="RK45",
+                    rtol=1e-10, atol=1e-12, events=(ev_cross, ev_turn))
     if sol.t_events[0].size:
         return "crosses"
     if sol.t_events[1].size:
@@ -248,60 +250,23 @@ def classify_trajectory(alpha: float, dimension: int, exponent: float,
     return "turns" if grow > 0 else "crosses"
 
 
-def _bisect_alpha(dimension: int, exponent: float, tol: float,
-                  classify) -> tuple[float, float]:
+def _bisect_alpha(dimension: int, exponent: float, tol: float) -> tuple[float, float]:
+    """Bracket of width tol around U(0), by bisection on the trajectory class."""
     lo = 1.0 + 1e-9
-    if classify(lo) != "turns":
+    if classify_trajectory(lo, dimension, exponent) != "turns":
         raise BracketError("low shooting height fails to turn upward", lo=lo)
     hi = 4.0
-    while classify(hi) != "crosses":
+    while classify_trajectory(hi, dimension, exponent) != "crosses":
         hi *= 2.0
         if hi > 1024.0:
             raise BracketError("no crossing trajectory found", lo=lo, hi=hi)
     while hi - lo > max(tol, 1e-13 * hi):
         mid = 0.5 * (lo + hi)
-        if classify(mid) == "crosses":
+        if classify_trajectory(mid, dimension, exponent) == "crosses":
             hi = mid
         else:
             lo = mid
     return lo, hi
-
-
-def shooting_alpha(dimension: int, exponent: float, h: float,
-                   s_max: float = 20.0, tol: float = 1e-12) -> float:
-    """U(0) from bisection with a fixed-step classical RK4 integrator.
-
-    The fixed step ties the answer to the grid spacing h, which is what a
-    grid-convergence measurement needs; the production path is adaptive
-    and does not see h.
-    """
-    _check_parameters(dimension, exponent)
-    n_steps = int(round(s_max / h))
-
-    def rhs(s, u, du):
-        friction = (dimension - 1) / s * du if s > 0 else 0.0
-        return du, u - _nonlinearity(u, exponent) - friction
-
-    def classify(alpha):
-        u, du = _series_start(alpha, h, dimension, exponent)
-        s = h
-        for _ in range(n_steps):
-            k1u, k1v = rhs(s, u, du)
-            k2u, k2v = rhs(s + h / 2, u + h / 2 * k1u, du + h / 2 * k1v)
-            k3u, k3v = rhs(s + h / 2, u + h / 2 * k2u, du + h / 2 * k2v)
-            k4u, k4v = rhs(s + h, u + h * k3u, du + h * k3v)
-            u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            du += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            s += h
-            if u < 0.0:
-                return "crosses"
-            if du > 0.0:
-                return "turns"
-        grow = du + u * (1.0 + (dimension - 1) / (2.0 * s))
-        return "turns" if grow > 0 else "crosses"
-
-    lo, hi = _bisect_alpha(dimension, exponent, tol, classify)
-    return 0.5 * (lo + hi)
 
 
 def solve_ground_state(dimension: int, exponent: float, tol: float = 1e-10,
@@ -325,19 +290,14 @@ def solve_ground_state(dimension: int, exponent: float, tol: float = 1e-10,
     if s_max < 10.0:
         raise ValidationError("s_max below 10 decay lengths cannot anchor the tail")
 
-    classify = lambda a: classify_trajectory(a, dimension, exponent)
-    lo, hi = _bisect_alpha(dimension, exponent, max(tol, 1e-13), classify)
+    lo, hi = _bisect_alpha(dimension, exponent, max(tol, 1e-13))
     alpha = 0.5 * (lo + hi)
 
     # Trace the best trajectory out to where it still tracks the separatrix,
     # then extend the initial guess with the decay law.
-    def rhs(s, y):
-        u, du = y
-        friction = (dimension - 1) / s * du if s > 0 else 0.0
-        return [du, u - _nonlinearity(u, exponent) - friction]
-
     s0 = 1e-3
-    trace = solve_ivp(rhs, (s0, s_max), _series_start(alpha, s0, dimension, exponent),
+    trace = solve_ivp(_radial_rhs(dimension, exponent), (s0, s_max),
+                      _series_start(alpha, s0, dimension, exponent),
                       method="RK45", rtol=1e-10, atol=1e-12, dense_output=True)
     s_track = s_max
     samples = trace.sol(np.linspace(s0, trace.t[-1], 2000))
@@ -406,9 +366,8 @@ def radial_integral(profile: RadialProfile, q: float) -> float:
         raise ValidationError(f"power q must be at least 1, got {q}")
     n = profile.dimension
     body = simpson(profile.values**q * profile.s ** (n - 1), x=profile.s)
-    c = profile.far_field_amplitude
-    if c > 0.0:
-        law = lambda s: (c * s ** (-(n - 1) / 2.0) * np.exp(-s)) ** q * s ** (n - 1)
+    if profile.far_field_amplitude > 0.0:
+        law = lambda s: profile._law(s) ** q * s ** (n - 1)
         tail, _ = quad(law, profile.s_max, np.inf)
     else:
         tail = 0.0

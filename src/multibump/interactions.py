@@ -25,9 +25,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
 
 from .errors import ValidationError
-from .geometry import PotentialSpec, admissible_radii, place_bumps
-from .grid import Field, build_aligned_sector_grid, energy_functional
-from .groundstate import ExpansionConstants, RadialProfile, radial_integral
+from .geometry import admissible_radii, place_bumps
+from .grid import Field, build_aligned_sector_grid, energy_functional, gram_matrix
+from .groundstate import (
+    SPHERE_MEASURE,
+    ExpansionConstants,
+    expansion_constants,
+    radial_integral,
+)
 
 __all__ = [
     "InteractionLaw",
@@ -217,11 +222,10 @@ def free_energy_quadrature(profile):
     dim = profile.dimension
     p = profile.exponent
     s = _simpson_nodes(0.0, profile.s[-1] + 20.0, 0.01)
-    sphere = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
     du = profile.deriv(s)
     u = profile(s)
     dens = 0.5 * (du * du + u * u) - np.abs(u) ** (p + 1.0) / (p + 1.0)
-    return float(sphere * simpson(dens * s ** (dim - 1), x=s))
+    return float(SPHERE_MEASURE[dim] * simpson(dens * s ** (dim - 1), x=s))
 
 
 @dataclass
@@ -259,16 +263,11 @@ def single_bump_energy_report(profile, potential, radii, refine=1):
         raise ValidationError("radii below 5 leave the bump overlapping the origin")
     base = free_energy_quadrature(profile)
     m = potential.m
-    b1 = 0.5 * potential.a * radial_integral(profile, 2.0)
-    a_const = ExpansionConstants(
-        A=(0.5 - 1.0 / (profile.exponent + 1.0))
-        * radial_integral(profile, profile.exponent + 1.0),
-        B1=b1,
-    )
+    consts = expansion_constants(profile, potential)
     energies, deviations, scaled = [], [], []
     for r in radii:
         e = base + 0.5 * potential_moment(profile, potential, r, refine=refine)
-        dev = e - a_const.A - b1 / r**m
+        dev = e - consts.A - consts.B1 / r**m
         energies.append(e)
         deviations.append(dev)
         scaled.append(dev * r**m)
@@ -277,7 +276,7 @@ def single_bump_energy_report(profile, potential, radii, refine=1):
         energies=np.asarray(energies),
         deviations=np.asarray(deviations),
         scaled_residuals=np.asarray(scaled),
-        constants=a_const,
+        constants=consts,
     )
 
 
@@ -331,16 +330,16 @@ class ExpansionTable:
         return buf.getvalue()
 
 
-def ring_energy_numeric(profile, potential, k, r, h=0.1):
+def ring_energy_numeric(profile, potential, k, r, h=0.1, margin=15.0):
     """Grid energy of the k-bump ansatz at radius r, Richardson improved.
 
-    Two sector grids with spacings h and h/3 are used; tripling the
-    resolution keeps the ring radius on a cell center, so the leading
-    O(h^2) quadrature errors cancel in the extrapolation
-    (9 I_{h/3} - I_h) / 8.
+    Two sector grids with spacings h and h/3 are used, each with the
+    Dirichlet wall ``margin`` beyond the ring; tripling the resolution
+    keeps the ring radius on a cell center, so the leading O(h^2)
+    quadrature errors cancel in the extrapolation (9 I_{h/3} - I_h) / 8.
     """
-    coarse = build_aligned_sector_grid(k, r, h)
-    fine = build_aligned_sector_grid(k, r, h / 3.0)
+    coarse = build_aligned_sector_grid(k, r, h, margin=margin)
+    fine = build_aligned_sector_grid(k, r, h / 3.0, margin=margin)
     centers = place_bumps(k, r).centers
     vals = []
     for g in (coarse, fine):
@@ -348,7 +347,8 @@ def ring_energy_numeric(profile, potential, k, r, h=0.1):
         w = np.zeros(g.shape)
         for c in centers:
             w += profile(np.hypot(pts[..., 0] - c[0], pts[..., 1] - c[1]))
-        vals.append(energy_functional(Field(g, w), potential, profile.exponent))
+        vals.append(energy_functional(Field(g, w), gram_matrix(g, potential),
+                                      profile.exponent))
     return (9.0 * vals[1] - vals[0]) / 8.0
 
 
@@ -356,11 +356,12 @@ def expansion_comparison(
     profile,
     potential,
     ks,
-    law=None,
+    law,
     radii_per_k=3,
     beta=0.1,
     h=0.1,
     radii_k1=None,
+    margin=15.0,
 ):
     """Compare numeric ring energies against the asymptotic expansion.
 
@@ -376,8 +377,8 @@ def expansion_comparison(
         Ground state and potential.
     ks : iterable of int
         Bump counts; k = 1 rows fall back to the single-bump report.
-    law : InteractionLaw, optional
-        Fitted interaction law; fitted on d in [8, 16] when omitted.
+    law : InteractionLaw
+        Fitted interaction law.
     radii_per_k : int
         Number of radii sampled per window.
     beta : float
@@ -386,20 +387,15 @@ def expansion_comparison(
         Base grid spacing.
     radii_k1 : sequence, optional
         Radii for k = 1 rows (default (10, 20)).
+    margin : float
+        Distance from the ring to the Dirichlet wall of the ring grids.
 
     Returns
     -------
     ExpansionTable
     """
-    if law is None:
-        ds = np.arange(8.0, 16.0 + 1e-9, 2.0)
-        law = fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
     m = potential.m
-    b1 = 0.5 * potential.a * radial_integral(profile, 2.0)
-    a_const = (0.5 - 1.0 / (profile.exponent + 1.0)) * radial_integral(
-        profile, profile.exponent + 1.0
-    )
-    constants = ExpansionConstants(A=a_const, B1=b1)
+    constants = expansion_constants(profile, potential)
     rows = []
     for k in ks:
         k = int(k)
@@ -407,7 +403,7 @@ def expansion_comparison(
             rs = radii_k1 if radii_k1 is not None else (10.0, 20.0)
             rep = single_bump_energy_report(profile, potential, rs)
             for r, e in zip(rep.radii, rep.energies):
-                asym = a_const + b1 / r**m
+                asym = constants.A + constants.B1 / r**m
                 rows.append(
                     ExpansionRow(
                         k=1,
@@ -422,9 +418,9 @@ def expansion_comparison(
         fracs = np.linspace(0.25, 0.75, radii_per_k)
         for frac in fracs:
             r = window.lower + frac * (window.upper - window.lower)
-            i_num = ring_energy_numeric(profile, potential, k, r, h=h)
+            i_num = ring_energy_numeric(profile, potential, k, r, h=h, margin=margin)
             d_nn = 2.0 * r * np.sin(np.pi / k)
-            i_asym = k * (a_const + b1 / r**m - float(law.predict(d_nn)))
+            i_asym = k * (constants.A + constants.B1 / r**m - float(law.predict(d_nn)))
             rows.append(
                 ExpansionRow(
                     k=k,

@@ -21,13 +21,10 @@ Two linear functionals enter:
   vanish identically, so the zero correction is reproduced without any
   grid-resolution floor.
 
-Two projectors onto E coexist on purpose.  The public ``project_to_E``
-subtracts a multiple of the radial direction field Z = dW/dr, matching
-the splitting v = phi + t Z used by the reduction.  The internal
-projector is orthogonal in the H^1_V inner product; composing the
-operator with it keeps apply_L self-adjoint, which the Krylov solver
-and the eigenvalue probe rely on.  Both have the same range, so the
-solve is indifferent to the choice.
+E has one projector, orthogonal in the H^1_V inner product: it
+subtracts the multiple of G^{-1} c that removes c(v).  Composing the
+linearized operator with it keeps the operator self-adjoint on E, which
+the Krylov solver and the eigenvalue probe rely on.
 """
 
 from __future__ import annotations
@@ -50,12 +47,9 @@ __all__ = [
     "RieszReport",
     "CorrectionResult",
     "build_reduction_context",
-    "project_to_E",
     "riesz_lk",
-    "apply_L",
     "coercivity_probe",
     "nonlinear_remainder",
-    "energy_gradient",
     "solve_correction",
 ]
 
@@ -70,7 +64,7 @@ class ConstraintSpec:
         Symmetrized weight on sector cells; pairing v against it with
         the cell areas and the 2k sector factor evaluates c(v).
     z_direction : ndarray
-        The field Z = dW/dr used by the oblique projector.
+        The field Z = dW/dr, the soft ring-translation direction.
     gamma : float
         c(Z), the pairing of the constraint with the Z direction.
     """
@@ -99,12 +93,6 @@ class ReductionContext:
         with a radial cell center.
     margin : float
         Distance kept between the ring and the outer Dirichlet wall.
-    drop_nonlinear : bool
-        Test hook; pretend W = 0 inside the linearized operator, which
-        turns L into the identity on E.
-    constrained : bool
-        Test hook; False removes the projection from apply_L and the
-        eigenvalue probe.
     grid : SectorGrid, optional
         Reuse a prebuilt grid instead of aligning a new one to r. Lets
         nearby radii be compared on an identical mesh, which is what a
@@ -124,8 +112,6 @@ class ReductionContext:
         r,
         h=0.1,
         margin=15.0,
-        drop_nonlinear=False,
-        constrained=True,
         grid=None,
         reuse=None,
     ):
@@ -137,8 +123,6 @@ class ReductionContext:
         self.k = k
         self.r = float(r)
         self.h = float(h)
-        self.drop_nonlinear = bool(drop_nonlinear)
-        self.constrained = bool(constrained)
 
         if grid is None:
             grid = build_aligned_sector_grid(k, self.r, self.h, margin=margin)
@@ -176,6 +160,8 @@ class ReductionContext:
             self.gram = reuse.gram
             self.lu = reuse.lu
         else:
+            # grid.gram_matrix spelled out: bench/layers.py traces the
+            # stiffness_matrix and splu calls made from this module.
             gram = stiffness_matrix(g) + sp.diags(self.weights * self.v_values)
             self.gram = gram.tocsc()
             self.lu = splu(self.gram)
@@ -205,12 +191,7 @@ class ReductionContext:
         """c(v), the full-space pairing of v with U_{x1}^{p-1} Z_1."""
         return 2.0 * self.k * float(self._q @ v)
 
-    # -- projections -------------------------------------------------------
-
-    def project_oblique(self, v):
-        """Projection onto E along the Z direction."""
-        c = self.constraint_value(v)
-        return v - (c / self.constraint.gamma) * self.constraint.z_direction
+    # -- projection ----------------------------------------------------------
 
     def project_orth(self, v):
         """H^1_V-orthogonal projection onto E (keeps operators symmetric)."""
@@ -220,19 +201,14 @@ class ReductionContext:
     # -- operator pieces -----------------------------------------------------
 
     def _mass_image(self, v):
-        """Riesz image of v -> p int W^{p-1} v (.) ; zero under the test hook."""
-        if self.drop_nonlinear:
-            return np.zeros_like(v)
+        """Riesz image of v -> p int W^{p-1} v (.)."""
         dual = self.weights * (self.exponent * self.w_ansatz ** (self.exponent - 1.0) * v)
         return self.lu.solve(dual)
 
     def apply_l_operator(self, v):
         """Image of the linearized-form Riesz operator, projected on E."""
-        if self.constrained:
-            v = self.project_orth(v)
-            out = v - self._mass_image(v)
-            return self.project_orth(out)
-        return v - self._mass_image(v)
+        v = self.project_orth(v)
+        return self.project_orth(v - self._mass_image(v))
 
     def field(self, values):
         return Field(self.grid, np.asarray(values).reshape(self.grid.shape))
@@ -246,16 +222,6 @@ class ReductionContext:
 def build_reduction_context(profile, potential, k, r, **kwargs):
     """Build a :class:`ReductionContext`; see the class for parameters."""
     return ReductionContext(profile, potential, k, r, **kwargs)
-
-
-def project_to_E(ctx, v):
-    """Project a field onto the constrained space along the Z direction.
-
-    Returns a field with c = 0 to round-off; idempotent.
-    """
-    flat = ctx.flat(v)
-    out = ctx.project_oblique(flat)
-    return ctx.field(out) if isinstance(v, Field) else out
 
 
 @dataclass
@@ -306,13 +272,6 @@ def riesz_lk(ctx):
     )
 
 
-def apply_L(ctx, v):
-    """Apply the projected linearized operator to a field or flat array."""
-    flat = ctx.flat(v)
-    out = ctx.apply_l_operator(flat)
-    return ctx.field(out) if isinstance(v, Field) else out
-
-
 def coercivity_probe(ctx, n_probe=60, seed=0):
     """Smallest singular value of L on E by Lanczos on L squared.
 
@@ -331,14 +290,13 @@ def coercivity_probe(ctx, n_probe=60, seed=0):
     """
     if n_probe < 20:
         raise ValidationError(f"need at least 20 probe iterations, got {n_probe}")
-    project = ctx.project_orth if ctx.constrained else None
-
     def squared(v):
         return ctx.apply_l_operator(ctx.apply_l_operator(v))
 
     template = np.zeros(ctx.grid.n_cells)
     val, _ = lanczos_smallest(
-        squared, template, ctx.inner, n_steps=n_probe, seed=seed, project=project
+        squared, template, ctx.inner, n_steps=n_probe, seed=seed,
+        project=ctx.project_orth,
     )
     return float(np.sqrt(max(val, 0.0)))
 
@@ -368,19 +326,6 @@ def nonlinear_remainder(ctx, phi):
     if isinstance(phi, Field):
         return value, ctx.field(grad)
     return value, grad
-
-
-def energy_gradient(ctx, phi):
-    """Unconstrained Riesz gradient of the energy at W + phi.
-
-    Returns the flat array g with <g, v> = d/dt I(W + phi + t v) at
-    t = 0 for every discrete v; used by finite-difference consistency
-    checks and as the Newton residual direction.
-    """
-    flat = ctx.flat(phi)
-    u = ctx.w_ansatz + flat
-    dual = ctx.weights * (np.abs(u) ** ctx.exponent * np.sign(u))
-    return u - ctx.lu.solve(dual)
 
 
 @dataclass

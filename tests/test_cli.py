@@ -74,6 +74,33 @@ def test_config_rejects_unknown_and_badly_typed_keys():
         RunConfig.from_mapping({"k_values": [6, 8.5]})
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("amplitude", float("nan")),
+    ("amplitude", float("inf")),
+    ("amplitude", float("-inf")),
+    ("wall_margin", float("nan")),
+    ("wall_margin", float("inf")),
+    ("wall_margin", float("-inf")),
+    ("radius_k1", float("inf")),
+    ("fit_d_max", float("inf")),
+    ("decay_power", float("inf")),
+    ("dimension", True),
+    ("amplitude", True),
+    ("k_values", [6, True]),
+])
+def test_config_rejects_non_finite_and_boolean_values(key, raw):
+    with pytest.raises(ValidationError, match=f"{key}: cannot interpret"):
+        RunConfig.from_mapping({key: raw})
+
+
+def test_main_rejects_a_nan_amplitude(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"amplitude": float("nan")})
+    out = tmp_path / "out"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: amplitude" in capsys.readouterr().err
+    assert not (out / "constants.json").exists()
+
+
 def test_config_precondition_messages():
     with pytest.raises(ValidationError, match="supercritical"):
         RunConfig.from_mapping({"dimension": 3, "exponent": 7.0})
@@ -257,13 +284,13 @@ def _study_column(path, name):
     return [row.split(",")[col] for row in rows]
 
 
-def test_wall_margin_reaches_reduce_and_study(shared_runs, tmp_path):
+def test_wall_margin_reaches_expansion_reduce_and_study(shared_runs, tmp_path):
     base = shared_runs[0]
     cfg = RunConfig.from_mapping(dict(CHEAP_CONFIG, wall_margin=20.0))
-    assert run_pipeline(cfg, str(tmp_path), ["reduce", "study"]) == 0
+    assert run_pipeline(cfg, str(tmp_path), ["expansion", "reduce", "study"]) == 0
     default = base / "staged"
-    assert ((tmp_path / "f_curve_k6.csv").read_bytes()
-            != (default / "f_curve_k6.csv").read_bytes())
+    for name in ("expansion.csv", "f_curve_k6.csv"):
+        assert (tmp_path / name).read_bytes() != (default / name).read_bytes(), name
     # phi_norm comes from the study's own context at r_k, not from the curve
     assert (_study_column(tmp_path / "scaling.csv", "phi_norm")
             != _study_column(default / "scaling.csv", "phi_norm"))

@@ -105,7 +105,7 @@ def test_correction_barely_moves_the_ansatz_energy(profile2d, potential,
     res = reduced_energy(profile2d, potential, k, r,
                          constants=constants2d, law=law2d, h=0.2)
     ctx = build_reduction_context(profile2d, potential, k, r, h=0.2)
-    i_w = energy_functional(ctx.field(ctx.w_ansatz), potential, profile2d.exponent)
+    i_w = energy_functional(ctx.field(ctx.w_ansatz), ctx.gram, profile2d.exponent)
     shift = abs(res.value - i_w)
     assert shift <= 1.0 / k
     assert shift <= riesz_lk(ctx).norm * res.correction.norm
@@ -232,8 +232,7 @@ def test_curve_csv(profile2d, potential, constants2d, law2d, tmp_path):
 
 
 def test_study_single_bump_row(profile2d, potential, constants2d, law2d):
-    constants = {"A": constants2d.A, "B1": constants2d.B1}
-    table = scaling_study(profile2d, potential, (1,), constants=constants,
+    table = scaling_study(profile2d, potential, (1,), constants=constants2d,
                           law=law2d, h=0.25, n_samples=9)
     row = table.rows[0]
     assert row.k == 1
@@ -261,8 +260,7 @@ def test_study_ladder_structure(study_table, tmp_path):
 
 
 def test_study_parallel_rows_match_serial(profile2d, potential, constants2d, law2d):
-    constants = {"A": constants2d.A, "B1": constants2d.B1}
-    kwargs = dict(constants=constants, law=law2d, h=0.25, n_samples=9)
+    kwargs = dict(constants=constants2d, law=law2d, h=0.25, n_samples=9)
     serial = scaling_study(profile2d, potential, (6,), jobs=1, **kwargs)
     parallel = scaling_study(profile2d, potential, (6,), jobs=2, **kwargs)
     assert serial.rows == parallel.rows

@@ -26,6 +26,9 @@ def test_potential_validation():
         PotentialSpec(a=-0.5, m=2.0)
     with pytest.raises(ValidationError):
         PotentialSpec(a=1.0, m=1.0)
+    for a, m in ((np.nan, 2.0), (np.inf, 2.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            PotentialSpec(a=a, m=m)
 
 
 def test_window_formula():

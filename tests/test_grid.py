@@ -16,11 +16,11 @@ from multibump import (
     build_aligned_sector_grid,
     build_sector_grid,
     energy_functional,
+    gram_matrix,
     inner_product_h1v,
     pde_residual,
     place_bumps,
     radial_integral,
-    stiffness_apply,
     stiffness_matrix,
 )
 
@@ -87,14 +87,30 @@ def test_field_csv_header():
     assert len(lines) == 2 + g.n_cells
 
 
-def test_stiffness_matrix_matches_apply():
-    g = build_sector_grid(6, 12.0, 0.3)
+def test_stiffness_matrix_matches_face_sum():
+    """u.K v is the finite-volume Dirichlet form, written face by face.
+
+    Each interior face contributes (face length / center distance)
+    times the jumps of u and v across it; the outer wall adds the
+    ghost term with half a cell to the clamped value.
+    """
+    g = build_sector_grid(3, 6.0, 0.5)
     rng = np.random.default_rng(1)
-    u = rng.standard_normal(g.shape)
-    mat = stiffness_matrix(g)
-    np.testing.assert_allclose(
-        (mat @ u.ravel()).reshape(g.shape), stiffness_apply(g, u),
-        rtol=1e-12, atol=1e-14,
+    u, v = rng.standard_normal((2,) + g.shape)
+    total = 0.0
+    for i in range(g.n_rho):
+        for j in range(g.n_theta):
+            if i + 1 < g.n_rho:
+                coeff = (i + 1) * g.d_rho * g.d_theta / g.d_rho
+                total += coeff * (u[i + 1, j] - u[i, j]) * (v[i + 1, j] - v[i, j])
+            if j + 1 < g.n_theta:
+                coeff = g.d_rho / (g.rho[i] * g.d_theta)
+                total += coeff * (u[i, j + 1] - u[i, j]) * (v[i, j + 1] - v[i, j])
+        if i == g.n_rho - 1:
+            coeff = g.r_out * g.d_theta / (0.5 * g.d_rho)
+            total += coeff * float(u[i] @ v[i])
+    assert u.ravel() @ (stiffness_matrix(g) @ v.ravel()) == pytest.approx(
+        total, rel=1e-12
     )
 
 
@@ -146,7 +162,7 @@ def test_free_action_matches_constant(profile2d, free_potential, constants2d):
     r = 10.0
     g = build_aligned_sector_grid(1, r, 0.1)
     u = bump_field(g, profile2d, 1, r)
-    val = energy_functional(u, free_potential, 3.0)
+    val = energy_functional(u, gram_matrix(g, free_potential), 3.0)
     assert abs(val - constants2d.A) / constants2d.A <= 2e-2
 
 

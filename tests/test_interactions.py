@@ -11,6 +11,7 @@ from multibump import (
     ValidationError,
     ansatz_energy_asymptotic,
     expansion_comparison,
+    expansion_constants,
     fit_interaction_law,
     interaction_integral,
 )
@@ -78,6 +79,14 @@ def test_single_bump_report(profile2d, potential):
     assert text.splitlines()[0] == "r,I_numeric,I_minus_A_minus_B1_term,scaled_residual"
     with pytest.raises(ValidationError):
         single_bump_energy_report(profile2d, potential, (2.0,))
+
+
+def test_reports_use_the_expansion_constants(profile2d, potential, law2d):
+    expected = expansion_constants(profile2d, potential)
+    rep = single_bump_energy_report(profile2d, potential, (20.0,))
+    table = expansion_comparison(profile2d, potential, (1,), law=law2d)
+    assert rep.constants == expected
+    assert table.constants == expected
 
 
 def test_asymptotic_formula():

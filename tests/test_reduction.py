@@ -53,14 +53,19 @@ def test_norm_is_induced_by_inner(ctx8):
     assert ctx8.norm(v) == pytest.approx(np.sqrt(ctx8.inner(v, v)), rel=1e-12)
 
 
-def test_oblique_projection_kills_constraint(ctx8):
+def test_orthogonal_projection_onto_E(ctx8):
+    in_e = [ctx8.project_orth(w) for w in smooth_directions(ctx8, 3, 5)]
     for v in smooth_directions(ctx8, 4, 1):
-        pv = ctx8.project_oblique(v)
+        pv = ctx8.project_orth(v)
         scale = max(abs(ctx8.constraint_value(v)), 1.0)
         assert abs(ctx8.constraint_value(pv)) <= 1e-10 * scale
         # projecting twice changes nothing
-        np.testing.assert_allclose(ctx8.project_oblique(pv), pv,
+        np.testing.assert_allclose(ctx8.project_orth(pv), pv,
                                    rtol=1e-10, atol=1e-12)
+        # what is removed is H^1_V-orthogonal to E
+        for w in in_e:
+            bound = 1e-10 * ctx8.norm(v - pv) * ctx8.norm(w)
+            assert abs(ctx8.inner(v - pv, w)) <= bound
 
 
 def test_operator_self_adjoint_on_smooth_directions(ctx8):
