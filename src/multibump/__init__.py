@@ -47,6 +47,7 @@ from .grid import (
     build_sector_grid,
     energy_functional,
     gram_matrix,
+    gram_solver,
     inner_product_h1v,
     pde_residual,
     stiffness_matrix,
@@ -116,6 +117,7 @@ __all__ = [
     "extend_past_edge",
     "fit_interaction_law",
     "gram_matrix",
+    "gram_solver",
     "inner_product_h1v",
     "interaction_integral",
     "maximize_reduced_energy",

@@ -82,6 +82,41 @@ class RunConfig:
     probe_seed: int = 0
     output_dir: str = "multibump_out"
 
+    def __post_init__(self):
+        """Check every field, however the config was built.
+
+        ``from_mapping`` and direct construction share this one check.
+        Numbers must be finite, integers integral, and a bool is never
+        read as a number; the values are then normalized (ints, floats,
+        ``k_values`` as a tuple) and held to ``problems()``.
+
+        Raises
+        ------
+        ValidationError
+            With every problem listed, one per line.
+        """
+        errors = []
+        for f in fields(self):
+            raw = getattr(self, f.name)
+            try:
+                if f.name == "k_values":
+                    value = tuple(_finite_number(v, integral=True) for v in raw)
+                elif f.name == "output_dir":
+                    value = str(raw)
+                elif f.name in ("dimension", "curve_samples", "probe_seed"):
+                    value = _finite_number(raw, integral=True)
+                else:
+                    value = _finite_number(raw, integral=False)
+            except (TypeError, ValueError):
+                errors.append(f"{f.name}: cannot interpret {raw!r}")
+                continue
+            object.__setattr__(self, f.name, value)
+        if errors:
+            raise ValidationError("; ".join(errors))
+        problems = self.problems()
+        if problems:
+            raise ValidationError("; ".join(problems))
+
     @classmethod
     def from_mapping(cls, data):
         """Build a config from a parsed JSON object.
@@ -90,34 +125,16 @@ class RunConfig:
         ------
         ValidationError
             With every problem listed, one per line, when any key is
-            unknown, badly typed, or violates a downstream
-            precondition.  Numbers must be finite, integers integral,
-            and a JSON true or false is never read as a number.
+            unknown or its value fails the checks of ``__post_init__``.
         """
-        known = {f.name: f.type for f in fields(cls)}
-        errors = []
-        values = {}
-        for key, raw in data.items():
-            if key not in known:
-                errors.append(f"{key}: unknown key")
-                continue
-            try:
-                if key == "k_values":
-                    values[key] = tuple(_finite_number(v, integral=True) for v in raw)
-                elif key in ("dimension", "curve_samples", "probe_seed"):
-                    values[key] = _finite_number(raw, integral=True)
-                elif key == "output_dir":
-                    values[key] = str(raw)
-                else:
-                    values[key] = _finite_number(raw, integral=False)
-            except (TypeError, ValueError):
-                errors.append(f"{key}: cannot interpret {raw!r}")
+        known = {f.name for f in fields(cls)}
+        errors = [f"{key}: unknown key" for key in data if key not in known]
+        try:
+            cfg = cls(**{key: raw for key, raw in data.items() if key in known})
+        except ValidationError as exc:
+            errors.append(str(exc))
         if errors:
             raise ValidationError("; ".join(errors))
-        cfg = cls(**values)
-        problems = cfg.problems()
-        if problems:
-            raise ValidationError("; ".join(problems))
         return cfg
 
     def problems(self):
@@ -286,8 +303,8 @@ class RunInputs:
     Holds the ground state, the expansion constants, the fitted pair
     law with its samples and the in-window reduced-energy curve of each
     k, so a pipeline run computes each of them once and a single stage
-    does exactly the work it needs.  Grid contexts and factorizations
-    are not kept: they are large and no two stages use the same one.
+    does exactly the work it needs.  Grid contexts and their Gram
+    solvers are not kept: no two stages use the same one.
     """
 
     def __init__(self, cfg):

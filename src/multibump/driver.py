@@ -84,7 +84,8 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
     def grad(v):
         u = wb + v
         cubic = np.abs(u) ** (p - 1.0) * u - wb**p - p * wb ** (p - 1.0) * v
-        return l_flat + ctx.apply_l_operator(v) - ctx.project_orth(ctx.lu.solve(w * cubic))
+        r_grad = ctx.project_orth(ctx.gram_solver.solve(w * cubic))
+        return l_flat + ctx.apply_l_operator(v) - r_grad
 
     g = grad(phi)
     g_norm = ctx.norm(g)
@@ -103,7 +104,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
         coef = w * p * np.abs(wb + phi) ** (p - 1.0)
 
         def hess(v):
-            return ctx.project_orth(v - ctx.lu.solve(coef * v))
+            return ctx.project_orth(v - ctx.gram_solver.solve(coef * v))
 
         sol = minres(
             hess,
@@ -633,7 +634,7 @@ def _pin_critical_radius(base, r_k, tol):
     equilibrium sits. Newton started off the equilibrium has to travel
     along the soft translation mode and crawls, so a short
     golden-section pass on the polish grid removes the offset for the
-    cost of a few correction solves (cheap, the factorization is
+    cost of a few correction solves (cheap, the Gram solver is
     shared).
     """
     cache = {}

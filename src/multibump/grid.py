@@ -15,6 +15,13 @@ hold to round-off by construction.  The assembled sparse K is the only
 stiffness operator: the strong Laplacian used by ``apply_hamiltonian``
 is K u / area and the H^1_V Gram matrix is K + diag(area V), so
 operator, energy and residual evaluations are mutually consistent.
+
+Every coefficient of that Gram matrix depends on rho alone and both
+straight edges are Neumann, so G is separable: an orthonormal DCT-II in
+theta diagonalizes it, leaving one SPD tridiagonal system in rho per
+angular mode (the classical fast Helmholtz solver of Hockney, 1965, and
+Buzbee, Golub & Nielson, 1970).  ``gram_solver`` is the package's one
+way to solve with G.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dct, idct
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "SectorGrid",
@@ -34,6 +43,8 @@ __all__ = [
     "build_aligned_sector_grid",
     "stiffness_matrix",
     "gram_matrix",
+    "GramSolver",
+    "gram_solver",
     "apply_hamiltonian",
     "inner_product_h1v",
     "energy_functional",
@@ -274,6 +285,64 @@ def gram_matrix(grid, potential):
     areas = grid.cell_areas().reshape(-1)
     v_of_r = np.repeat(np.asarray(potential(grid.rho), dtype=float), grid.n_theta)
     return stiffness_matrix(grid) + sp.diags(areas * v_of_r)
+
+
+class GramSolver:
+    """Factored separable form of the Gram matrix G; see ``gram_solver``.
+
+    Holds the LAPACK ``dpttrf`` factor of the n_theta tridiagonal
+    systems, concatenated mode after mode into one: O(cells) memory.
+    """
+
+    __slots__ = ("grid", "_d", "_e")
+
+    def __init__(self, grid, d, e):
+        self.grid = grid
+        self._d = d
+        self._e = e
+
+    def solve(self, b):
+        """G^{-1} b for a flat array b of sector cell values."""
+        g = self.grid
+        modes = dct(np.reshape(b, g.shape), type=2, axis=1, norm="ortho")
+        # dpttrs reports only illegal arguments, which the shapes rule out.
+        x, _ = dpttrs(self._d, self._e, modes.T.reshape(-1))
+        x = x.reshape(g.n_theta, g.n_rho).T
+        return idct(x, type=2, axis=1, norm="ortho").reshape(-1)
+
+
+def gram_solver(grid, potential):
+    """Factor G = K + diag(area * V) by a DCT in theta and tridiagonals in rho.
+
+    In theta, row i of G carries coef_t[i] times the Neumann second
+    difference, whose orthonormal DCT-II eigenvalues are
+    2 - 2 cos(pi j / n_theta).  Mode j therefore leaves the tridiagonal
+    system with diagonal area V + radial faces + Dirichlet term
+    + lambda_j coef_t and off-diagonal -coef_r, which is SPD.
+
+    Raises
+    ------
+    NumericalError
+        When a mode's system is not positive definite (a potential that
+        is too negative), so the factorization fails.
+    """
+    g = grid
+    coef_r, coef_t, coef_dir = _face_coefficients(g)
+    radial = g.rho * g.d_rho * g.d_theta * np.asarray(potential(g.rho), dtype=float)
+    radial[1:] += coef_r
+    radial[:-1] += coef_r
+    radial[-1] += coef_dir
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(g.n_theta) / g.n_theta)
+    diag = (radial[None, :] + lam[:, None] * coef_t[None, :]).reshape(-1)
+    # Zero couplings between consecutive modes' blocks.
+    off = np.zeros(g.shape[::-1])
+    off[:, :-1] = -coef_r
+    d, e, info = dpttrf(diag, off.reshape(-1)[:-1])
+    if info != 0:
+        raise NumericalError(
+            f"Gram matrix is not positive definite (LAPACK dpttrf info {info})"
+        )
+    return GramSolver(g, d, e)
 
 
 def apply_hamiltonian(field, potential):

@@ -8,7 +8,9 @@ the energy expands as J(phi) = J(0) + l(phi) + <L phi, phi>/2 - R(phi),
 and the correction solves the projected equation l_k + L phi = R'(phi)
 by a contraction iteration.  Everything here acts on flat arrays of
 sector cell values; the weighted H^1 inner product is carried by the
-sparse Gram operator G = K + diag(area * V), factored once per context.
+sparse Gram operator G = K + diag(area * V), whose separable solver
+(``grid.gram_solver``: a DCT in theta, tridiagonals in rho) is built
+once per context.
 
 Two linear functionals enter:
 
@@ -34,11 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+# Unused here; bench/layers.py still patches reduction.splu. ROADMAP
+# item 7 (counters inside the package) removes the import.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import ContractionError, ConvergenceError, ValidationError
 from .geometry import admissible_radii, place_bumps
-from .grid import Field, build_aligned_sector_grid, stiffness_matrix
+from .grid import Field, build_aligned_sector_grid, gram_solver, stiffness_matrix
 from .solvers import lanczos_smallest, minres
 
 __all__ = [
@@ -75,7 +79,7 @@ class ConstraintSpec:
 
 
 class ReductionContext:
-    """Precomputed grid, ansatz, and factorization data for one (k, r).
+    """Precomputed grid, ansatz, and Gram solver for one (k, r).
 
     Instances are immutable in practice and safe to use from parallel
     workers, each worker holding its own context.
@@ -100,7 +104,7 @@ class ReductionContext:
         critical radius before polishing.
     reuse : ReductionContext, optional
         Another context on the same grid and potential; its assembled
-        operator and factorization are shared instead of refactored,
+        Gram matrix and Gram solver are shared instead of rebuilt,
         which makes a radius scan on one grid cheap.
     """
 
@@ -158,13 +162,12 @@ class ReductionContext:
 
         if reuse is not None and reuse.grid is g and reuse.potential == potential:
             self.gram = reuse.gram
-            self.lu = reuse.lu
+            self.gram_solver = reuse.gram_solver
         else:
             # grid.gram_matrix spelled out: bench/layers.py traces the
-            # stiffness_matrix and splu calls made from this module.
-            gram = stiffness_matrix(g) + sp.diags(self.weights * self.v_values)
-            self.gram = gram.tocsc()
-            self.lu = splu(self.gram)
+            # stiffness_matrix calls made from this module.
+            self.gram = stiffness_matrix(g) + sp.diags(self.weights * self.v_values)
+            self.gram_solver = gram_solver(g, potential)
 
         q = self.weights * wc
         gamma = 2.0 * k * float(q @ z_dir)
@@ -175,7 +178,7 @@ class ReductionContext:
             )
         self.constraint = ConstraintSpec(weight=wc, z_direction=z_dir, gamma=gamma)
         self._q = q
-        self._z_orth = self.lu.solve(q)
+        self._z_orth = self.gram_solver.solve(q)
         self._cz_orth = 2.0 * k * float(q @ self._z_orth)
 
     # -- inner product and constraint -------------------------------------
@@ -203,7 +206,7 @@ class ReductionContext:
     def _mass_image(self, v):
         """Riesz image of v -> p int W^{p-1} v (.)."""
         dual = self.weights * (self.exponent * self.w_ansatz ** (self.exponent - 1.0) * v)
-        return self.lu.solve(dual)
+        return self.gram_solver.solve(dual)
 
     def apply_l_operator(self, v):
         """Image of the linearized-form Riesz operator, projected on E."""
@@ -260,7 +263,7 @@ def riesz_lk(ctx):
     dens_pot = (ctx.v_values - 1.0) * w
     dens_int = np.abs(w) ** ctx.exponent * np.sign(w) - ctx.sum_up
     b = ctx.weights * (dens_pot - dens_int)
-    l_full = ctx.project_orth(ctx.lu.solve(b))
+    l_full = ctx.project_orth(ctx.gram_solver.solve(b))
     l2 = lambda dens: float(
         np.sqrt(2.0 * ctx.k * np.sum(ctx.weights * dens * dens))
     )
@@ -322,7 +325,7 @@ def nonlinear_remainder(ctx, phi):
     dual = ctx.weights * (
         np.abs(tot) ** p * np.sign(tot) - w**p - p * w ** (p - 1.0) * flat
     )
-    grad = ctx.project_orth(ctx.lu.solve(dual))
+    grad = ctx.project_orth(ctx.gram_solver.solve(dual))
     if isinstance(phi, Field):
         return value, ctx.field(grad)
     return value, grad

@@ -93,6 +93,16 @@ def test_config_rejects_non_finite_and_boolean_values(key, raw):
         RunConfig.from_mapping({key: raw})
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"amplitude": float("nan")}, "amplitude: cannot interpret"),
+    ({"grid_step": -1.0}, r"grid_step: must lie in \(0, 0.5\]"),
+])
+def test_directly_built_config_is_checked(kwargs, match):
+    """Building a RunConfig in code runs the checks from_mapping runs."""
+    with pytest.raises(ValidationError, match=match):
+        RunConfig(**kwargs)
+
+
 def test_main_rejects_a_nan_amplitude(tmp_path, capsys):
     cfg = write_config(tmp_path, {"amplitude": float("nan")})
     out = tmp_path / "out"

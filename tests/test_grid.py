@@ -7,16 +7,20 @@ holds exactly, and the action value is the expansion constant A.
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from multibump import (
     Field,
+    NumericalError,
     PotentialSpec,
     ValidationError,
+    admissible_radii,
     apply_hamiltonian,
     build_aligned_sector_grid,
     build_sector_grid,
     energy_functional,
     gram_matrix,
+    gram_solver,
     inner_product_h1v,
     pde_residual,
     place_bumps,
@@ -123,6 +127,40 @@ def test_stiffness_matrix_symmetric_nonnegative():
     for _ in range(5):
         u = rng.standard_normal(mat.shape[0])
         assert u @ (mat @ u) >= -1e-12
+
+
+def _upper_edge(k):
+    return admissible_radii(k, 2.0, beta=0.1).upper
+
+
+@pytest.mark.parametrize("make_grid, shape", [
+    (lambda: build_aligned_sector_grid(1, 10.0, 0.15), (167, 421)),
+    (lambda: build_aligned_sector_grid(6, _upper_edge(6), 0.15), (128, 50)),
+    (lambda: build_aligned_sector_grid(12, _upper_edge(12), 0.15), (184, 40)),
+    (lambda: build_aligned_sector_grid(12, _upper_edge(12), 0.1), (275, 59)),
+    (lambda: build_sector_grid(3, 2.0, 0.5), (4, 8)),
+])
+def test_gram_solver_matches_sparse_lu(make_grid, shape):
+    """The separable solve agrees with a sparse LU of the assembled G.
+
+    The grids include prime n_theta (421 and 59), where the DCT takes
+    its slowest path, and the smallest radial count the builder allows.
+    """
+    g = make_grid()
+    assert g.shape == shape
+    pot = PotentialSpec(a=1.0, m=2.0)
+    gram = gram_matrix(g, pot)
+    b = np.random.default_rng(3).standard_normal(g.n_cells)
+    x = gram_solver(g, pot).solve(b)
+    x_lu = splu(gram.tocsc()).solve(b)
+    assert np.linalg.norm(x - x_lu) <= 1e-10 * np.linalg.norm(x_lu)
+    assert np.linalg.norm(gram @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_gram_solver_refuses_an_indefinite_gram_matrix():
+    g = build_sector_grid(3, 6.0, 0.5)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        gram_solver(g, lambda rho: -10.0 * np.ones_like(rho))
 
 
 def test_hamiltonian_linearity():

@@ -48,6 +48,14 @@ def smooth_directions(ctx, n, seed):
     return out
 
 
+def test_reuse_shares_the_gram_solver(ctx8, profile2d, potential):
+    other = build_reduction_context(
+        profile2d, potential, 8, ctx8.r + 0.05, h=0.2, grid=ctx8.grid, reuse=ctx8
+    )
+    assert other.gram_solver is ctx8.gram_solver
+    assert other.gram is ctx8.gram
+
+
 def test_norm_is_induced_by_inner(ctx8):
     v = smooth_directions(ctx8, 1, 0)[0]
     assert ctx8.norm(v) == pytest.approx(np.sqrt(ctx8.inner(v, v)), rel=1e-12)
