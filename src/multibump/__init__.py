@@ -40,15 +40,12 @@ from .geometry import (
     tail_bound_check,
 )
 from .grid import (
-    Field,
     SectorGrid,
-    apply_hamiltonian,
     build_aligned_sector_grid,
     build_sector_grid,
     energy_functional,
     gram_matrix,
     gram_solver,
-    inner_product_h1v,
     pde_residual,
     stiffness_matrix,
 )
@@ -62,7 +59,6 @@ from .groundstate import (
 from .interactions import (
     ExpansionTable,
     InteractionLaw,
-    ansatz_energy_asymptotic,
     expansion_comparison,
     fit_interaction_law,
     interaction_integral,
@@ -88,7 +84,6 @@ __all__ = [
     "CorrectionResult",
     "ExpansionConstants",
     "ExpansionTable",
-    "Field",
     "InteractionLaw",
     "NumericalError",
     "PotentialSpec",
@@ -103,8 +98,6 @@ __all__ = [
     "TailBoundReport",
     "ValidationError",
     "admissible_radii",
-    "ansatz_energy_asymptotic",
-    "apply_hamiltonian",
     "build_aligned_sector_grid",
     "build_reduction_context",
     "build_sector_grid",
@@ -118,7 +111,6 @@ __all__ = [
     "fit_interaction_law",
     "gram_matrix",
     "gram_solver",
-    "inner_product_h1v",
     "interaction_integral",
     "maximize_reduced_energy",
     "pde_residual",

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -198,25 +198,7 @@ class RunConfig:
 
     def to_mapping(self):
         """Plain dict that feeds back through from_mapping unchanged."""
-        return {
-            "dimension": self.dimension,
-            "exponent": self.exponent,
-            "amplitude": self.amplitude,
-            "decay_power": self.decay_power,
-            "window_beta": self.window_beta,
-            "k_values": list(self.k_values),
-            "grid_step": self.grid_step,
-            "wall_margin": self.wall_margin,
-            "correction_tol_h1v": self.correction_tol_h1v,
-            "certify_tol_residual": self.certify_tol_residual,
-            "curve_samples": self.curve_samples,
-            "fit_d_min": self.fit_d_min,
-            "fit_d_max": self.fit_d_max,
-            "fit_d_step": self.fit_d_step,
-            "radius_k1": self.radius_k1,
-            "probe_seed": self.probe_seed,
-            "output_dir": self.output_dir,
-        }
+        return dict(asdict(self), k_values=list(self.k_values))
 
     def potential(self):
         return PotentialSpec(a=self.amplitude, m=self.decay_power)
@@ -492,7 +474,7 @@ def _stage_certify(inputs, out_dir):
         )
         sol_name = f"solution_k{k}.csv"
         with open(os.path.join(out_dir, sol_name), "w") as fh:
-            fh.write(cert.u.to_csv())
+            fh.write(cert.grid.to_csv(cert.u))
         cert_name = f"certificate_k{k}.json"
         payload = json.loads(cert.to_json())
         payload["r_start"] = r_start

@@ -25,10 +25,13 @@ from scipy.sparse.linalg import splu
 
 from .errors import ContractionError, ConvergenceError, NumericalError, ValidationError
 from .geometry import admissible_radii
-from .grid import energy_functional, stiffness_matrix
+from .grid import energy_functional, pde_residual
+# Unused here; bench/layers.py still patches driver.stiffness_matrix.
+# ROADMAP item 7 (counters inside the package) removes the import.
+from .grid import stiffness_matrix  # noqa: F401
 from .groundstate import expansion_constants
 from .groundstate import solve_ground_state  # noqa: F401  (traced by bench/layers.py)
-from .interactions import fit_interaction_law, interaction_integral
+from .interactions import asymptotic_energy, fit_interaction_law, interaction_integral
 from .reduction import (
     CorrectionResult,
     build_reduction_context,
@@ -59,14 +62,6 @@ def _fit_default_law(profile):
     return fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
 
 
-def _asymptotic_energy(k, r, constants, law, m):
-    """k (A + B1/r^m - Psi(2 r sin(pi/k))) with the fitted law; A + B1/r^m at k = 1."""
-    tail = constants.A + constants.B1 / r**m
-    if k == 1:
-        return tail
-    return k * (tail - float(law.predict(2.0 * r * math.sin(math.pi / k))))
-
-
 def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
     """Damped Newton iteration for the projected correction equation.
 
@@ -76,7 +71,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
     search on the projected gradient norm.
     """
     w = ctx.weights
-    l_flat = ctx.flat(riesz_lk(ctx).field)
+    l_flat = riesz_lk(ctx).field
     phi = np.zeros_like(l_flat)
     wb = ctx.w_ansatz
     p = ctx.exponent
@@ -94,7 +89,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
     for outer in range(1, max_outer + 1):
         if g_norm <= tol:
             return CorrectionResult(
-                phi=ctx.field(phi),
+                phi=phi,
                 norm=ctx.norm(phi),
                 iterations=outer - 1,
                 ratios=ratios,
@@ -239,9 +234,9 @@ def reduced_energy(
     ctx = build_reduction_context(profile, potential, k, r, h=h, margin=margin)
     corr, method = _solve_with_rescue(ctx, tol=tol, rescue=rescue)
     return ReducedEnergyResult(
-        value=energy_functional(ctx.field(ctx.w_ansatz) + corr.phi, ctx.gram,
+        value=energy_functional(ctx.grid, ctx.w_ansatz + corr.phi, ctx.gram,
                                 ctx.exponent),
-        asymptotic=_asymptotic_energy(k, r, constants, law, potential.m),
+        asymptotic=asymptotic_energy(k, r, constants, law, potential.m),
         correction=corr,
         method=method,
     )
@@ -462,7 +457,7 @@ def maximize_reduced_energy(
 
 def _asymptotics(k, radii, constants, law, m, formula_mode):
     return np.array(
-        [math.nan if formula_mode else _asymptotic_energy(k, r, constants, law, m)
+        [math.nan if formula_mode else asymptotic_energy(k, r, constants, law, m)
          for r in radii]
     )
 
@@ -582,10 +577,13 @@ class CertifiedSolution:
 
     Attributes
     ----------
-    u : Field
-        Sector values of the solution.
+    u : ndarray
+        Sector cell values of the solution.
+    grid : SectorGrid
+        The grid ``u`` lives on.
     residual_norm : float
-        Weighted L2 norm of the strong-form residual.
+        Full-plane L2 norm of the strong-form residual
+        (``grid.pde_residual``).
     min_value : float
         Minimum nodal value (positivity certificate).
     nonradiality : float
@@ -598,7 +596,8 @@ class CertifiedSolution:
         Discrete energy I(u).
     """
 
-    u: object
+    u: np.ndarray
+    grid: object
     residual_norm: float
     min_value: float
     nonradiality: float
@@ -647,8 +646,8 @@ def _pin_critical_radius(base, r_k, tol):
                     h=base.h, grid=base.grid, reuse=base,
                 )
                 corr = solve_correction(ctx, tol=tol, validate_window=False)
-                val = energy_functional(ctx.field(ctx.w_ansatz) + corr.phi, ctx.gram,
-                                        ctx.exponent)
+                val = energy_functional(ctx.grid, ctx.w_ansatz + corr.phi,
+                                        ctx.gram, ctx.exponent)
                 cache[r] = (val, ctx, corr)
             except (ContractionError, ConvergenceError, NumericalError,
                     ValidationError):
@@ -701,8 +700,9 @@ def polish_and_certify(
     profile, potential, k, r_k
         Problem data; r_k is the ring radius (normally the argmax of
         the reduced curve).
-    phi : Field or ndarray, optional
-        Correction to start from; solved on the spot when omitted.
+    phi : ndarray, optional
+        Correction to start from, one value per sector cell of the
+        aligned grid at r_k; solved on the spot when omitted.
         Passing one also skips the radius refinement, so the iteration
         runs at exactly the stated r_k on its aligned grid.
     tol : float
@@ -721,6 +721,8 @@ def polish_and_certify(
 
     Raises
     ------
+    ValidationError
+        When ``phi`` does not hold one value per grid cell.
     ConvergenceError
         When step damping is exhausted or the cap is hit.
     NumericalError
@@ -744,26 +746,25 @@ def polish_and_certify(
             pinned = _pin_critical_radius(ctx, r_used, min(tol, 1e-8))
         if pinned is not None:
             r_used, ctx, corr = pinned
-            phi_flat = ctx.flat(corr.phi)
         else:
             corr, _ = _solve_with_rescue(ctx, tol=min(tol, 1e-8))
-            phi_flat = ctx.flat(corr.phi)
-    elif hasattr(phi, "values"):
-        phi_flat = ctx.flat(phi)
+        phi = corr.phi
     else:
-        phi_flat = np.asarray(phi, dtype=float).reshape(-1)
+        phi = np.asarray(phi, dtype=float).reshape(-1)
+        if phi.size != ctx.grid.n_cells:
+            raise ValidationError(
+                f"phi holds {phi.size} values; the grid at r={r_used} has "
+                f"{ctx.grid.n_cells} cells"
+            )
 
-    stiff = stiffness_matrix(ctx.grid).tocsr()
     w = ctx.weights
-    v = ctx.v_values
     p = ctx.exponent
-    two_k = 2.0 * ctx.k
 
     def residual(u):
-        return stiff @ u + w * (v * u - np.abs(u) ** (p - 1.0) * u)
+        return pde_residual(ctx.grid, u, ctx.gram, p)
 
-    def res_norm(res):
-        return math.sqrt(two_k * float(np.sum(res * res / w)))
+    def res_norm(u):
+        return residual(u)[1]
 
     z_soft = ctx.constraint.z_direction
 
@@ -778,25 +779,22 @@ def polish_and_certify(
         lo, hi = -0.15, 0.15
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
-        f1 = res_norm(residual(u + x1 * z_soft))
-        f2 = res_norm(residual(u + x2 * z_soft))
+        f1 = res_norm(u + x1 * z_soft)
+        f2 = res_norm(u + x2 * z_soft)
         for _ in range(24):
             if f1 < f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - _GOLDEN * (hi - lo)
-                f1 = res_norm(residual(u + x1 * z_soft))
+                f1 = res_norm(u + x1 * z_soft)
             else:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + _GOLDEN * (hi - lo)
-                f2 = res_norm(residual(u + x2 * z_soft))
+                f2 = res_norm(u + x2 * z_soft)
         s, fs = (x1, f1) if f1 < f2 else (x2, f2)
-        if fs < rn:
-            return u + s * z_soft, fs
-        return u, rn
+        return u + s * z_soft if fs < rn else u
 
-    u = ctx.w_ansatz + phi_flat
-    res = residual(u)
-    rn = res_norm(res)
+    u = ctx.w_ansatz + phi
+    res, rn = residual(u)
     steps = 0
     inv_w = sp.diags(1.0 / w)
     mass = sp.diags(w)
@@ -807,14 +805,13 @@ def polish_and_certify(
                 iterations=steps,
                 residual=rn,
             )
-        jac = (stiff + sp.diags(w * (v - p * np.abs(u) ** (p - 1.0)))).tocsr()
+        jac = (ctx.gram - sp.diags(w * p * np.abs(u) ** (p - 1.0))).tocsr()
         delta = splu(jac.tocsc()).solve(-res)
         alpha = 1.0
         accepted = False
         while alpha >= 0.25:
             trial = u + alpha * delta
-            res_trial = residual(trial)
-            rn_trial = res_norm(res_trial)
+            res_trial, rn_trial = residual(trial)
             if rn_trial < (1.0 - 1e-4 * alpha) * rn:
                 accepted = True
                 break
@@ -831,8 +828,7 @@ def polish_and_certify(
             while mu < 1e8:
                 delta = splu((normal + mu * mass).tocsc()).solve(rhs)
                 trial = u + delta
-                res_trial = residual(trial)
-                rn_trial = res_norm(res_trial)
+                res_trial, rn_trial = residual(trial)
                 if rn_trial < rn:
                     accepted = True
                     break
@@ -848,8 +844,8 @@ def polish_and_certify(
         if rn > tol:
             # A Newton step leaves mostly soft-mode residual behind;
             # the slide removes it without another factorization.
-            u, rn = slide(u, rn)
-            res = residual(u)
+            u = slide(u, rn)
+            res, rn = residual(u)
 
     u_min = float(u.min())
     if u_min <= 0.0:
@@ -863,14 +859,15 @@ def polish_and_certify(
     ring = u.reshape(ctx.grid.n_rho, ctx.grid.n_theta)[ring_index]
     nonradiality = float((ring.max() - ring.min()) / ring.max())
     return CertifiedSolution(
-        u=ctx.field(u),
+        u=u,
+        grid=ctx.grid,
         residual_norm=rn,
         min_value=u_min,
         nonradiality=nonradiality,
         k=ctx.k,
         r_k=r_used,
         steps=steps,
-        energy=energy_functional(ctx.field(u), ctx.gram, ctx.exponent),
+        energy=energy_functional(ctx.grid, u, ctx.gram, ctx.exponent),
     )
 
 
@@ -948,7 +945,7 @@ def _study_row(profile, potential, k, curve, beta, h, n_samples, seed, tol,
         corr, _ = _solve_with_rescue(ctx, tol=tol)
         rep = riesz_lk(ctx)
         rho = coercivity_probe(ctx, seed=seed)
-        f_val = energy_functional(ctx.field(ctx.w_ansatz) + corr.phi, ctx.gram,
+        f_val = energy_functional(ctx.grid, ctx.w_ansatz + corr.phi, ctx.gram,
                                   ctx.exponent)
         return StudyRow(
             k=1,

@@ -12,9 +12,10 @@ discrete integration by parts identity
     sum_faces (du) (dv) coeff  ==  - sum_cells (div grad u) v area
 
 hold to round-off by construction.  The assembled sparse K is the only
-stiffness operator: the strong Laplacian used by ``apply_hamiltonian``
-is K u / area and the H^1_V Gram matrix is K + diag(area V), so
-operator, energy and residual evaluations are mutually consistent.
+stiffness operator: the H^1_V Gram matrix is G = K + diag(area V), and
+both the action and the equation's residual are evaluated through G,
+so they are mutually consistent.  Fields are flat arrays of sector
+cell values in (rho, theta) row-major order.
 
 Every coefficient of that Gram matrix depends on rho alone and both
 straight edges are Neumann, so G is separable: an orthonormal DCT-II in
@@ -38,15 +39,12 @@ from .errors import NumericalError, ValidationError
 
 __all__ = [
     "SectorGrid",
-    "Field",
     "build_sector_grid",
     "build_aligned_sector_grid",
     "stiffness_matrix",
     "gram_matrix",
     "GramSolver",
     "gram_solver",
-    "apply_hamiltonian",
-    "inner_product_h1v",
     "energy_functional",
     "pde_residual",
 ]
@@ -107,53 +105,21 @@ class SectorGrid:
         """Integral over the full plane of the symmetrized field (2k copies)."""
         return 2.0 * self.k * self.sector_integral(values)
 
-
-class Field:
-    """A scalar field sampled at the cell centers of a :class:`SectorGrid`."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValidationError(
-                f"field shape {values.shape} does not match grid {grid.shape}"
-            )
-        self.grid = grid
-        self.values = values
-
-    def copy(self):
-        return Field(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        return Field(self.grid, self.values + _values_of(other))
-
-    def __sub__(self, other):
-        return Field(self.grid, self.values - _values_of(other))
-
-    def __mul__(self, scalar):
-        return Field(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def to_csv(self):
-        """Serialize as CSV text: header comment, then rho, theta, value rows."""
-        g = self.grid
+    def to_csv(self, values):
+        """CSV text of cell ``values``: a header comment, then rho,theta,value rows."""
+        values = np.reshape(values, self.shape)
         buf = io.StringIO()
         buf.write(
-            f"# k={g.k} r_out={g.r_out:.17e} n_rho={g.n_rho} n_theta={g.n_theta}\n"
+            f"# k={self.k} r_out={self.r_out:.17e} "
+            f"n_rho={self.n_rho} n_theta={self.n_theta}\n"
         )
         buf.write("rho,theta,value\n")
-        for i in range(g.n_rho):
-            for j in range(g.n_theta):
+        for i in range(self.n_rho):
+            for j in range(self.n_theta):
                 buf.write(
-                    f"{g.rho[i]:.17e},{g.theta[j]:.17e},{self.values[i, j]:.17e}\n"
+                    f"{self.rho[i]:.17e},{self.theta[j]:.17e},{values[i, j]:.17e}\n"
                 )
         return buf.getvalue()
-
-
-def _values_of(other):
-    return other.values if isinstance(other, Field) else other
 
 
 def build_sector_grid(k, r_out, h, r_max=None):
@@ -345,60 +311,35 @@ def gram_solver(grid, potential):
     return GramSolver(g, d, e)
 
 
-def apply_hamiltonian(field, potential):
-    """Evaluate (-Laplace + V) u at the cell centers.
-
-    The Laplacian is K u divided by the cell area, which is the
-    finite-volume strong form.  ``potential`` is a callable of radius.
-    """
-    g = field.grid
-    v_of_r = np.asarray(potential(g.rho), dtype=float)
-    ku = (stiffness_matrix(g) @ field.values.reshape(-1)).reshape(g.shape)
-    return Field(g, ku / g.cell_areas() + v_of_r[:, None] * field.values)
-
-
-def inner_product_h1v(u, v, potential):
-    """Full-space H^1_V inner product of two symmetric fields.
-
-    Computes 2k u.G v so the value matches
-    integral(grad u . grad v + V u v) over the whole plane.
-    """
-    g = u.grid
-    if v.grid is not g and v.grid != u.grid:
-        raise ValidationError("fields live on different grids")
-    gram = gram_matrix(g, potential)
-    return 2.0 * g.k * float(u.values.reshape(-1) @ (gram @ v.values.reshape(-1)))
-
-
-def energy_functional(u, gram, exponent):
+def energy_functional(grid, u, gram, exponent):
     """Action integral I(u) over the full plane for a symmetric field.
 
     I(u) = 1/2 int |grad u|^2 + V u^2  -  1/(p+1) int |u|^{p+1}.
 
-    ``gram`` is the Gram matrix of u's grid and potential, from
+    ``u`` is the flat array of sector cell values on ``grid`` and
+    ``gram`` the Gram matrix of that grid and potential, from
     ``gram_matrix`` or a reduction context that already holds it; the
     quadratic part is 2k u.G u.
     """
-    g = u.grid
-    flat = u.values.reshape(-1)
-    quad = 2.0 * g.k * float(flat @ (gram @ flat))
-    areas = g.cell_areas().reshape(-1)
-    power = 2.0 * g.k * float(np.sum(areas * np.abs(flat) ** (exponent + 1.0)))
+    quad = 2.0 * grid.k * float(u @ (gram @ u))
+    areas = grid.cell_areas().reshape(-1)
+    power = 2.0 * grid.k * float(np.sum(areas * np.abs(u) ** (exponent + 1.0)))
     return 0.5 * quad - power / (exponent + 1.0)
 
 
-def pde_residual(u, potential, exponent):
-    """Strong-form residual -Lap u + V u - |u|^{p-1} u and its L2 norm.
+def pde_residual(grid, u, gram, exponent):
+    """Weak-form residual G u - area |u|^{p-1} u and its L2 norm.
+
+    Divided by the cell areas the residual is the strong form
+    -Lap u + V u - |u|^{p-1} u at the cell centers, so the returned
+    norm sqrt(2k sum res^2 / area) is its full-plane L2 norm.
 
     Returns
     -------
-    residual : Field
+    residual : ndarray
+        Flat array over the cells of ``grid``.
     norm : float
-        Full-plane L2 norm of the residual.
     """
-    g = u.grid
-    hu = apply_hamiltonian(u, potential)
-    nl = np.sign(u.values) * np.abs(u.values) ** exponent
-    res = Field(g, hu.values - nl)
-    norm = float(np.sqrt(g.full_integral(res.values**2)))
-    return res, norm
+    areas = grid.cell_areas().reshape(-1)
+    res = gram @ u - areas * (np.abs(u) ** (exponent - 1.0) * u)
+    return res, float(np.sqrt(2.0 * grid.k * float(np.sum(res * res / areas))))

@@ -18,6 +18,7 @@ spectrally), and no large Cartesian box is needed.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from scipy.integrate import simpson
 
 from .errors import ValidationError
 from .geometry import admissible_radii, place_bumps
-from .grid import Field, build_aligned_sector_grid, energy_functional, gram_matrix
+from .grid import build_aligned_sector_grid, energy_functional, gram_matrix
 from .groundstate import (
     SPHERE_MEASURE,
     ExpansionConstants,
@@ -42,7 +43,7 @@ __all__ = [
     "interaction_integral",
     "fit_interaction_law",
     "single_bump_energy_report",
-    "ansatz_energy_asymptotic",
+    "asymptotic_energy",
     "expansion_comparison",
     "free_energy_quadrature",
     "potential_moment",
@@ -280,28 +281,15 @@ def single_bump_energy_report(profile, potential, radii, refine=1):
     )
 
 
-def ansatz_energy_asymptotic(k, r, constants, m):
-    """Closed-form ring energy k (A + B1/r^m - B2 exp(-2 pi r / k)).
+def asymptotic_energy(k, r, constants, law, m):
+    """k (A + B1/r^m - Psi(2 r sin(pi/k))) with the fitted law; A + B1/r^m at k = 1.
 
-    Parameters
-    ----------
-    k : int
-        Number of bumps, k >= 2.
-    r : float
-        Ring radius, positive.
-    constants : mapping
-        Keys A, B1, B2.
-    m : float
-        Potential decay power.
+    ``law`` is an :class:`InteractionLaw` and may be None at k = 1.
     """
-    if k < 2:
-        raise ValidationError(f"ring formula needs k >= 2, got {k}")
-    if not r > 0.0:
-        raise ValidationError(f"ring radius must be positive, got {r}")
-    a = constants["A"]
-    b1 = constants["B1"]
-    b2 = constants["B2"]
-    return k * (a + b1 / r**m - b2 * np.exp(-2.0 * np.pi * r / k))
+    tail = constants.A + constants.B1 / r**m
+    if k == 1:
+        return tail
+    return k * (tail - float(law.predict(2.0 * r * math.sin(math.pi / k))))
 
 
 @dataclass(frozen=True)
@@ -347,7 +335,7 @@ def ring_energy_numeric(profile, potential, k, r, h=0.1, margin=15.0):
         w = np.zeros(g.shape)
         for c in centers:
             w += profile(np.hypot(pts[..., 0] - c[0], pts[..., 1] - c[1]))
-        vals.append(energy_functional(Field(g, w), gram_matrix(g, potential),
+        vals.append(energy_functional(g, w.reshape(-1), gram_matrix(g, potential),
                                       profile.exponent))
     return (9.0 * vals[1] - vals[0]) / 8.0
 
@@ -403,7 +391,7 @@ def expansion_comparison(
             rs = radii_k1 if radii_k1 is not None else (10.0, 20.0)
             rep = single_bump_energy_report(profile, potential, rs)
             for r, e in zip(rep.radii, rep.energies):
-                asym = constants.A + constants.B1 / r**m
+                asym = asymptotic_energy(1, r, constants, law, m)
                 rows.append(
                     ExpansionRow(
                         k=1,
@@ -419,8 +407,7 @@ def expansion_comparison(
         for frac in fracs:
             r = window.lower + frac * (window.upper - window.lower)
             i_num = ring_energy_numeric(profile, potential, k, r, h=h, margin=margin)
-            d_nn = 2.0 * r * np.sin(np.pi / k)
-            i_asym = k * (constants.A + constants.B1 / r**m - float(law.predict(d_nn)))
+            i_asym = asymptotic_energy(k, r, constants, law, m)
             rows.append(
                 ExpansionRow(
                     k=k,

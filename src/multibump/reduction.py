@@ -42,7 +42,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import ContractionError, ConvergenceError, ValidationError
 from .geometry import admissible_radii, place_bumps
-from .grid import Field, build_aligned_sector_grid, gram_solver, stiffness_matrix
+from .grid import build_aligned_sector_grid, gram_solver, stiffness_matrix
 from .solvers import lanczos_smallest, minres
 
 __all__ = [
@@ -213,14 +213,6 @@ class ReductionContext:
         v = self.project_orth(v)
         return self.project_orth(v - self._mass_image(v))
 
-    def field(self, values):
-        return Field(self.grid, np.asarray(values).reshape(self.grid.shape))
-
-    def flat(self, field):
-        if isinstance(field, Field):
-            return field.values.reshape(-1)
-        return np.asarray(field, dtype=float).reshape(-1)
-
 
 def build_reduction_context(profile, potential, k, r, **kwargs):
     """Build a :class:`ReductionContext`; see the class for parameters."""
@@ -233,7 +225,7 @@ class RieszReport:
 
     Attributes
     ----------
-    field : Field
+    field : ndarray
         The representative l_k, projected into E.
     norm : float
         H^1_V dual norm of the functional (norm of the representative).
@@ -245,7 +237,7 @@ class RieszReport:
         independent of a.
     """
 
-    field: Field
+    field: np.ndarray
     norm: float
     potential_norm: float
     interaction_norm: float
@@ -268,7 +260,7 @@ def riesz_lk(ctx):
         np.sqrt(2.0 * ctx.k * np.sum(ctx.weights * dens * dens))
     )
     return RieszReport(
-        field=ctx.field(l_full),
+        field=l_full,
         norm=ctx.norm(l_full),
         potential_norm=l2(dens_pot),
         interaction_norm=l2(dens_int),
@@ -311,24 +303,20 @@ def nonlinear_remainder(ctx, phi):
     - (p+1) W^p phi - (p+1)p/2 W^{p-1} phi^2) together with the Riesz
     representative of its derivative, projected into E.
     """
-    flat = ctx.flat(phi)
     w = ctx.w_ansatz
     p = ctx.exponent
-    tot = w + flat
+    tot = w + phi
     dens = (
         np.abs(tot) ** (p + 1.0)
         - w ** (p + 1.0)
-        - (p + 1.0) * w**p * flat
-        - 0.5 * (p + 1.0) * p * w ** (p - 1.0) * flat**2
+        - (p + 1.0) * w**p * phi
+        - 0.5 * (p + 1.0) * p * w ** (p - 1.0) * phi**2
     )
     value = 2.0 * ctx.k * float((ctx.weights * dens).sum()) / (p + 1.0)
     dual = ctx.weights * (
-        np.abs(tot) ** p * np.sign(tot) - w**p - p * w ** (p - 1.0) * flat
+        np.abs(tot) ** p * np.sign(tot) - w**p - p * w ** (p - 1.0) * phi
     )
-    grad = ctx.project_orth(ctx.gram_solver.solve(dual))
-    if isinstance(phi, Field):
-        return value, ctx.field(grad)
-    return value, grad
+    return value, ctx.project_orth(ctx.gram_solver.solve(dual))
 
 
 @dataclass
@@ -337,7 +325,8 @@ class CorrectionResult:
 
     Attributes
     ----------
-    phi : Field
+    phi : ndarray
+        Sector cell values of the correction.
     norm : float
         H^1_V norm of phi.
     iterations : int
@@ -350,7 +339,7 @@ class CorrectionResult:
         c(phi), for the preservation check.
     """
 
-    phi: Field
+    phi: np.ndarray
     norm: float
     iterations: int
     ratios: list
@@ -411,11 +400,11 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
                 f"[{window.lower:.4f}, {window.upper:.4f}] for k={ctx.k}"
             )
     rep = riesz_lk(ctx)
-    l_flat = ctx.flat(rep.field)
+    l_flat = rep.field
     phi = np.zeros_like(l_flat)
     if rep.norm == 0.0:
         return CorrectionResult(
-            phi=ctx.field(phi),
+            phi=phi,
             norm=0.0,
             iterations=1,
             ratios=[],
@@ -461,7 +450,7 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
         residual = ctx.norm(_projected_gradient(ctx, l_flat, phi))
         if update <= tol and residual <= tol:
             return CorrectionResult(
-                phi=ctx.field(phi),
+                phi=phi,
                 norm=ctx.norm(phi),
                 iterations=outer,
                 ratios=ratios,

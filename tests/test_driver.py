@@ -16,7 +16,9 @@ from multibump import (
     build_reduction_context,
     energy_functional,
     extend_past_edge,
+    gram_matrix,
     maximize_reduced_energy,
+    pde_residual,
     polish_and_certify,
     reduced_energy,
     riesz_lk,
@@ -105,7 +107,7 @@ def test_correction_barely_moves_the_ansatz_energy(profile2d, potential,
     res = reduced_energy(profile2d, potential, k, r,
                          constants=constants2d, law=law2d, h=0.2)
     ctx = build_reduction_context(profile2d, potential, k, r, h=0.2)
-    i_w = energy_functional(ctx.field(ctx.w_ansatz), ctx.gram, profile2d.exponent)
+    i_w = energy_functional(ctx.grid, ctx.w_ansatz, ctx.gram, profile2d.exponent)
     shift = abs(res.value - i_w)
     assert shift <= 1.0 / k
     assert shift <= riesz_lk(ctx).norm * res.correction.norm
@@ -318,8 +320,19 @@ def test_polish_basin_covers_amplitude_errors(profile2d, potential, cert6):
         assert cert2.r_k == cert6.r_k
         assert cert2.min_value > 0.0
         assert cert2.nonradiality >= 0.1
-        assert np.max(np.abs(cert6.u.values - cert2.u.values)) <= 0.05
+        assert np.max(np.abs(cert6.u - cert2.u)) <= 0.05
         assert cert2.energy == pytest.approx(cert6.energy, abs=1e-3)
+
+
+def test_polish_refuses_a_mis_sized_correction(profile2d, potential):
+    with pytest.raises(ValidationError, match="phi holds 10 values"):
+        polish_and_certify(profile2d, potential, 6, 6.2, phi=np.zeros(10), h=0.15)
+
+
+def test_certified_residual_is_the_pde_residual(profile2d, potential, cert6):
+    gram = gram_matrix(cert6.grid, potential)
+    _, norm = pde_residual(cert6.grid, cert6.u, gram, profile2d.exponent)
+    assert cert6.residual_norm == norm
 
 
 def test_polish_certificate_catches_basin_escape(profile2d, potential, cert6):

@@ -10,18 +10,15 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from multibump import (
-    Field,
     NumericalError,
     PotentialSpec,
     ValidationError,
     admissible_radii,
-    apply_hamiltonian,
     build_aligned_sector_grid,
     build_sector_grid,
     energy_functional,
     gram_matrix,
     gram_solver,
-    inner_product_h1v,
     pde_residual,
     place_bumps,
     radial_integral,
@@ -34,7 +31,7 @@ def bump_field(grid, profile, k, r):
     vals = np.zeros(grid.shape)
     for c in place_bumps(k, r).centers:
         vals += profile(np.hypot(pts[..., 0] - c[0], pts[..., 1] - c[1]))
-    return Field(grid, vals)
+    return vals.reshape(-1)
 
 
 def test_grid_quadrature_weights():
@@ -70,21 +67,9 @@ def test_odd_refinement_keeps_alignment():
     assert np.min(np.abs(fine.rho - r)) <= 1e-10
 
 
-def test_field_algebra():
-    g = build_sector_grid(4, 25.0, 0.5)
-    rng = np.random.default_rng(0)
-    a = Field(g, rng.standard_normal(g.shape))
-    b = Field(g, rng.standard_normal(g.shape))
-    np.testing.assert_allclose((a + b).values, a.values + b.values)
-    np.testing.assert_allclose((a - b).values, a.values - b.values)
-    np.testing.assert_allclose((2.5 * a).values, 2.5 * a.values)
-    with pytest.raises(ValidationError):
-        Field(g, np.zeros((3, 3)))
-
-
 def test_field_csv_header():
     g = build_sector_grid(4, 25.0, 0.5)
-    text = Field(g, np.zeros(g.shape)).to_csv()
+    text = g.to_csv(np.zeros(g.n_cells))
     lines = text.splitlines()
     assert lines[0].startswith("# k=4 ")
     assert lines[1] == "rho,theta,value"
@@ -163,27 +148,14 @@ def test_gram_solver_refuses_an_indefinite_gram_matrix():
         gram_solver(g, lambda rho: -10.0 * np.ones_like(rho))
 
 
-def test_hamiltonian_linearity():
+def test_gram_matrix_symmetry():
+    """u.G v is the H^1_V inner product: symmetric and positive."""
     g = build_sector_grid(5, 12.0, 0.3)
-    pot = PotentialSpec(a=1.0, m=2.0)
-    rng = np.random.default_rng(3)
-    u = Field(g, rng.standard_normal(g.shape))
-    v = Field(g, rng.standard_normal(g.shape))
-    lhs = apply_hamiltonian(u + v, pot)
-    rhs = apply_hamiltonian(u, pot) + apply_hamiltonian(v, pot)
-    np.testing.assert_allclose(lhs.values, rhs.values, rtol=1e-10, atol=1e-10)
-
-
-def test_inner_product_symmetry():
-    g = build_sector_grid(5, 12.0, 0.3)
-    pot = PotentialSpec(a=1.0, m=2.0)
+    gram = gram_matrix(g, PotentialSpec(a=1.0, m=2.0))
     rng = np.random.default_rng(4)
-    u = Field(g, rng.standard_normal(g.shape))
-    v = Field(g, rng.standard_normal(g.shape))
-    assert inner_product_h1v(u, v, pot) == pytest.approx(
-        inner_product_h1v(v, u, pot), rel=1e-12
-    )
-    assert inner_product_h1v(u, u, pot) > 0.0
+    u, v = rng.standard_normal((2, g.n_cells))
+    assert u @ (gram @ v) == pytest.approx(v @ (gram @ u), rel=1e-12)
+    assert u @ (gram @ u) > 0.0
 
 
 def test_nehari_identity_on_grid(profile2d, free_potential):
@@ -191,7 +163,7 @@ def test_nehari_identity_on_grid(profile2d, free_potential):
     r = 10.0
     g = build_aligned_sector_grid(1, r, 0.1)
     u = bump_field(g, profile2d, 1, r)
-    quad = inner_product_h1v(u, u, free_potential)
+    quad = 2.0 * g.k * float(u @ (gram_matrix(g, free_potential) @ u))
     target = radial_integral(profile2d, 4.0)
     assert abs(quad - target) / target <= 2e-2
 
@@ -200,7 +172,7 @@ def test_free_action_matches_constant(profile2d, free_potential, constants2d):
     r = 10.0
     g = build_aligned_sector_grid(1, r, 0.1)
     u = bump_field(g, profile2d, 1, r)
-    val = energy_functional(u, gram_matrix(g, free_potential), 3.0)
+    val = energy_functional(g, u, gram_matrix(g, free_potential), 3.0)
     assert abs(val - constants2d.A) / constants2d.A <= 2e-2
 
 
@@ -211,6 +183,6 @@ def test_residual_shrinks_under_refinement(profile2d, free_potential):
     for h in (0.3, 0.15):
         g = build_aligned_sector_grid(1, r, h)
         u = bump_field(g, profile2d, 1, r)
-        _, norm = pde_residual(u, free_potential, 3.0)
+        _, norm = pde_residual(g, u, gram_matrix(g, free_potential), 3.0)
         norms.append(norm)
     assert norms[1] <= norms[0] / 3.0

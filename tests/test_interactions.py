@@ -9,7 +9,6 @@ import pytest
 
 from multibump import (
     ValidationError,
-    ansatz_energy_asymptotic,
     expansion_comparison,
     expansion_constants,
     fit_interaction_law,
@@ -87,19 +86,6 @@ def test_reports_use_the_expansion_constants(profile2d, potential, law2d):
     table = expansion_comparison(profile2d, potential, (1,), law=law2d)
     assert rep.constants == expected
     assert table.constants == expected
-
-
-def test_asymptotic_formula():
-    consts = {"A": 5.85, "B1": 5.85, "B2": 59.0}
-    k, r = 8, 7.0
-    by_hand = k * (5.85 + 5.85 / r**2 - 59.0 * np.exp(-2.0 * np.pi * r / k))
-    assert ansatz_energy_asymptotic(k, r, consts, 2.0) == pytest.approx(
-        by_hand, rel=1e-12
-    )
-    with pytest.raises(ValidationError):
-        ansatz_energy_asymptotic(1, r, consts, 2.0)
-    with pytest.raises(ValidationError):
-        ansatz_energy_asymptotic(k, -1.0, consts, 2.0)
 
 
 def test_ring_energy_matches_expansion_at_midpoint(profile2d, potential, law2d):

@@ -118,7 +118,7 @@ def test_a_posteriori_norm_bound(ctx8):
     rep = riesz_lk(ctx8)
     rho = coercivity_probe(ctx8, seed=0)
     assert rho > 0.0
-    _, r_grad = nonlinear_remainder(ctx8, ctx8.flat(corr.phi))
+    _, r_grad = nonlinear_remainder(ctx8, corr.phi)
     bound = 2.0 * (rep.norm + ctx8.norm(r_grad)) / rho
     assert corr.norm <= bound
 
