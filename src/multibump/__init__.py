@@ -122,5 +122,6 @@ __all__ = [
     "scaling_study",
     "solve_correction",
     "solve_ground_state",
+    "stiffness_matrix",
     "tail_bound_check",
 ]

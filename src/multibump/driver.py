@@ -104,7 +104,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
         sol = minres(
             hess,
             ctx.project_orth(-g),
-            ctx.inner,
+            ctx.gram,
             rtol=inner_rtol,
             maxiter=800,
             project=ctx.project_orth,
@@ -114,7 +114,8 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
         while alpha > 1e-6:
             trial = phi + alpha * sol.x
             g_trial = grad(trial)
-            if ctx.norm(g_trial) < (1.0 - 0.25 * alpha) * g_norm:
+            g_trial_norm = ctx.norm(g_trial)
+            if g_trial_norm < (1.0 - 0.25 * alpha) * g_norm:
                 accepted = True
                 break
             alpha *= 0.5
@@ -130,7 +131,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
         prev_step = step
         phi = trial
         g = g_trial
-        g_norm = ctx.norm(g)
+        g_norm = g_trial_norm
     raise ConvergenceError(
         "projected newton did not reach tolerance",
         iterations=max_outer,

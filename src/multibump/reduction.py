@@ -290,7 +290,7 @@ def coercivity_probe(ctx, n_probe=60, seed=0):
 
     template = np.zeros(ctx.grid.n_cells)
     val, _ = lanczos_smallest(
-        squared, template, ctx.inner, n_steps=n_probe, seed=seed,
+        squared, template, ctx.gram, n_steps=n_probe, seed=seed,
         project=ctx.project_orth,
     )
     return float(np.sqrt(max(val, 0.0)))
@@ -360,12 +360,6 @@ class CorrectionResult:
         )
 
 
-def _projected_gradient(ctx, l_field, phi):
-    """Residual of the projected Euler-Lagrange equation at phi."""
-    _, r_grad = nonlinear_remainder(ctx, phi)
-    return l_field + ctx.apply_l_operator(phi) - r_grad
-
-
 def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_window=True):
     """Solve the constrained correction equation by contraction.
 
@@ -416,13 +410,13 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
     prev_update = None
     bad_ratio_streak = 0
     residual = np.inf
+    _, r_grad = nonlinear_remainder(ctx, phi)
     for outer in range(1, max_outer + 1):
-        _, r_grad = nonlinear_remainder(ctx, phi)
         rhs = ctx.project_orth(-(l_flat - r_grad))
         sol = minres(
             ctx.apply_l_operator,
             rhs,
-            ctx.inner,
+            ctx.gram,
             rtol=inner_rtol,
             maxiter=400,
             project=ctx.project_orth,
@@ -447,7 +441,9 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
                 bad_ratio_streak = 0
         prev_update = update
         phi = sol.x
-        residual = ctx.norm(_projected_gradient(ctx, l_flat, phi))
+        # Projected Euler-Lagrange residual; R'(phi) feeds the next step.
+        _, r_grad = nonlinear_remainder(ctx, phi)
+        residual = ctx.norm(l_flat + ctx.apply_l_operator(phi) - r_grad)
         if update <= tol and residual <= tol:
             return CorrectionResult(
                 phi=phi,

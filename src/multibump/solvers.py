@@ -1,13 +1,15 @@
-"""Krylov iterations in a user-supplied inner product.
+"""Krylov iterations in the inner product of a symmetric positive metric.
 
 The correction equation of the reduction scheme is self-adjoint with
-respect to a weighted H^1 inner product, not the Euclidean one, so the
-standard library solvers do not apply directly.  This module carries a
-minimal MINRES (Paige and Saunders recurrences with the inner product
-swapped in) and a Lanczos routine for the smallest eigenvalue of a
-symmetric positive operator.  Both accept an optional projection that is
-re-applied every iteration to keep the Krylov basis inside a constraint
-subspace despite round-off.
+respect to a weighted H^1 inner product u . (M v), M the Gram matrix,
+so the standard library solvers do not apply directly.  This module
+carries a minimal MINRES (Paige and Saunders recurrences in the metric)
+and a Lanczos routine for the smallest eigenvalue of a symmetric
+positive operator.  Both take M itself and carry M v for the current
+Lanczos vector, so an inner product is a dense dot; iterates do not
+change when M is scaled by a constant.  Both accept an optional
+projection that is re-applied every iteration to keep the Krylov basis
+inside a constraint subspace despite round-off.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError
 
@@ -30,7 +33,7 @@ class MinresResult:
     x : ndarray
         Approximate solution.
     residual_norm : float
-        Norm (in the supplied inner product) of b - A x, tracked by the
+        Metric norm sqrt(r . (M r)) of r = b - A x, tracked by the
         recurrence.
     iterations : int
     converged : bool
@@ -42,22 +45,19 @@ class MinresResult:
     converged: bool
 
 
-def _default_ip(u, v):
-    return float(np.dot(np.ravel(u), np.ravel(v)))
-
-
-def minres(apply_a, b, inner, rtol=1e-10, maxiter=500, project=None):
-    """Solve A x = b for a self-adjoint operator in the given inner product.
+def minres(apply_a, b, metric, rtol=1e-10, maxiter=500, project=None):
+    """Solve A x = b for an operator self-adjoint in the metric M.
 
     Parameters
     ----------
     apply_a : callable
-        Action of the operator on a vector (any ndarray shape).
+        Action of the operator on a flat vector.
     b : ndarray
-        Right-hand side.
-    inner : callable or None
-        Inner product ``inner(u, v) -> float`` with respect to which
-        ``apply_a`` is self-adjoint.  None means Euclidean.
+        Right-hand side, a flat vector.
+    metric : matrix or None
+        Symmetric positive definite M (anything with ``@``) such that
+        ``apply_a`` is self-adjoint in u . (M v).  None means Euclidean.
+        One product with M is made per iteration, plus one for b.
     rtol : float
         Stop when the residual norm falls below rtol * |b|.
     maxiter : int
@@ -69,16 +69,18 @@ def minres(apply_a, b, inner, rtol=1e-10, maxiter=500, project=None):
     -------
     MinresResult
     """
-    ip = inner if inner is not None else _default_ip
+    m_dot = (lambda v: v) if metric is None else (lambda v: metric @ v)
     if project is not None:
         b = project(b)
     x = np.zeros_like(b)
-    b_norm = np.sqrt(max(ip(b, b), 0.0))
+    gv = m_dot(b)
+    b_norm = np.sqrt(max(float(b @ gv), 0.0))
     if b_norm == 0.0:
         return MinresResult(x=x, residual_norm=0.0, iterations=0, converged=True)
 
     v_prev = np.zeros_like(b)
     v = b / b_norm
+    gv = gv / b_norm
     beta = 0.0
     # QR of the tridiagonal via Givens rotations.
     c_prev, s_prev = 1.0, 0.0
@@ -91,11 +93,12 @@ def minres(apply_a, b, inner, rtol=1e-10, maxiter=500, project=None):
         av = apply_a(v)
         if project is not None:
             av = project(av)
-        alpha = ip(av, v)
+        alpha = float(av @ gv)
         av = av - alpha * v - beta * v_prev
         if project is not None:
             av = project(av)
-        beta_next = np.sqrt(max(ip(av, av), 0.0))
+        g_av = m_dot(av)
+        beta_next = np.sqrt(max(float(av @ g_av), 0.0))
 
         # Apply the two previous rotations to the new column of the
         # tridiagonal, then compute the rotation that zeroes beta_next.
@@ -115,6 +118,7 @@ def minres(apply_a, b, inner, rtol=1e-10, maxiter=500, project=None):
 
         if beta_next > 0.0:
             v_prev, v = v, av / beta_next
+            gv = g_av / beta_next
         beta = beta_next
         w_prev, w_cur = w_cur, w_next
         c_prev, s_prev = c_cur, s_cur
@@ -130,21 +134,23 @@ def minres(apply_a, b, inner, rtol=1e-10, maxiter=500, project=None):
     return MinresResult(x=x, residual_norm=abs(phi), iterations=it, converged=False)
 
 
-def lanczos_smallest(apply_a, shape_like, inner, n_steps=60, seed=0, project=None):
-    """Smallest eigenvalue of a self-adjoint operator by the Lanczos method.
+def lanczos_smallest(apply_a, shape_like, metric, n_steps=60, seed=0, project=None):
+    """Smallest eigenvalue of an operator self-adjoint in the metric M.
 
-    Full reorthogonalization is used; the basis sizes involved here are
-    tiny compared to the operator dimension, so the cost is dominated by
-    operator applications anyway.
+    The basis is fully reorthogonalized by classical Gram-Schmidt done
+    twice (CGS2; Giraud, Langou and Rozloznik, Comput. Math. Appl.
+    2005), as stable as modified Gram-Schmidt done twice: three metric
+    products per step, plus one each for the start and Ritz vectors.
 
     Parameters
     ----------
     apply_a : callable
-        Operator action.
+        Operator action on a flat vector.
     shape_like : ndarray
-        Any array with the shape and dtype of the operator's vectors.
-    inner : callable or None
-        Inner product; None means Euclidean.
+        Any flat array with the shape and dtype of the operator's vectors.
+    metric : matrix or None
+        Symmetric positive definite M (anything with ``@``) in whose
+        inner product ``apply_a`` is self-adjoint; None means Euclidean.
     n_steps : int
         Number of Lanczos steps (matrix applications).
     seed : int
@@ -158,54 +164,50 @@ def lanczos_smallest(apply_a, shape_like, inner, n_steps=60, seed=0, project=Non
     value : float
         Ritz estimate of the smallest eigenvalue.
     vector : ndarray
-        Corresponding Ritz vector (normalized in the inner product).
+        Corresponding Ritz vector (normalized in the metric).
     """
-    ip = inner if inner is not None else _default_ip
+    m_dot = (lambda v: v) if metric is None else (lambda v: metric @ v)
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(np.shape(shape_like))
     if project is not None:
         q = project(q)
-    nrm = np.sqrt(max(ip(q, q), 0.0))
+    gq = m_dot(q)
+    nrm = np.sqrt(max(float(q @ gq), 0.0))
     if nrm == 0.0:
         raise NumericalError("lanczos start vector vanished under projection")
-    q = q / nrm
 
-    basis = [q]
+    basis = np.empty((n_steps + 1, q.size))
+    basis[0] = q / nrm
+    gq = gq / nrm
     alphas, betas = [], []
-    for _ in range(n_steps):
-        w = apply_a(basis[-1])
+    for j in range(n_steps):
+        q = basis[j]
+        w = apply_a(q)
         if project is not None:
             w = project(w)
-        alpha = ip(w, basis[-1])
+        alpha = float(w @ gq)
         alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # Full reorthogonalization, twice for safety.
+        w = w - alpha * q
+        if j > 0:
+            w = w - betas[-1] * basis[j - 1]
+        # Full reorthogonalization against the M-orthonormal basis, CGS2.
+        active = basis[: j + 1]
         for _pass in range(2):
-            for qi in basis:
-                w = w - ip(w, qi) * qi
+            w = w - (active @ m_dot(w)) @ active
         if project is not None:
             w = project(w)
-        beta = np.sqrt(max(ip(w, w), 0.0))
+        gw = m_dot(w)
+        beta = np.sqrt(max(float(w @ gw), 0.0))
         if beta < 1e-14:
             break
         betas.append(beta)
-        basis.append(w / beta)
+        basis[j + 1] = w / beta
+        gq = gw / beta
 
     n = len(alphas)
-    t = np.zeros((n, n))
-    t[np.arange(n), np.arange(n)] = alphas
-    if n > 1:
-        off = np.asarray(betas[: n - 1])
-        t[np.arange(n - 1), np.arange(1, n)] = off
-        t[np.arange(1, n), np.arange(n - 1)] = off
-    vals, vecs = np.linalg.eigh(t)
-    coeff = vecs[:, 0]
-    ritz = np.zeros_like(basis[0])
-    for ci, qi in zip(coeff, basis[: n]):
-        ritz = ritz + ci * qi
-    nr = np.sqrt(max(ip(ritz, ritz), 0.0))
+    vals, vecs = eigh_tridiagonal(alphas, betas[: n - 1], select="i", select_range=(0, 0))
+    ritz = vecs[:, 0] @ basis[:n]
+    nr = np.sqrt(max(float(ritz @ m_dot(ritz)), 0.0))
     if nr > 0.0:
         ritz = ritz / nr
     return float(vals[0]), ritz

@@ -23,6 +23,21 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_package_exports_every_name_it_imports_from_a_submodule():
+    """A name the package imports from a submodule's ``__all__`` is in
+    ``multibump.__all__``, so ``from multibump import *`` binds it."""
+    unexported = []
+    for info in pkgutil.iter_modules(multibump.__path__):
+        module = importlib.import_module(f"multibump.{info.name}")
+        unexported += [
+            f"{module.__name__}.{name}"
+            for name in getattr(module, "__all__", ())
+            if name not in multibump.__all__
+            and getattr(multibump, name, None) is getattr(module, name)
+        ]
+    assert unexported == []
+
+
 def test_every_traced_name_resolves():
     """The benchmark's trace patches names the package must keep importable."""
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"

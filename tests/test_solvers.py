@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from multibump.solvers import lanczos_smallest, minres
 
@@ -38,11 +40,75 @@ def test_minres_weighted_inner_product():
     rng = np.random.default_rng(3)
     d = rng.uniform(1.0, 4.0, size=50)
     w = rng.uniform(0.5, 2.0, size=50)
-    inner = lambda u, v: float(np.sum(w * u * v))
     b = rng.standard_normal(50)
-    sol = minres(lambda v: d * v, b, inner, rtol=1e-12)
+    sol = minres(lambda v: d * v, b, sp.diags(w), rtol=1e-12)
     assert sol.converged
     np.testing.assert_allclose(sol.x, b / d, rtol=1e-9)
+
+
+def metric_pair(n, seed):
+    """A dense SPD metric M and a symmetric A; M^-1 A is M-self-adjoint."""
+    m, _ = random_spd(n, seed)
+    rng = np.random.default_rng(seed + 100)
+    a = rng.standard_normal((n, n))
+    a = a + a.T + 2.0 * n**0.5 * np.eye(n)
+    return m, a
+
+
+def test_minres_in_dense_metric_matches_direct_solve():
+    m, a = metric_pair(60, 11)
+    b = np.random.default_rng(12).standard_normal(60)
+    sol = minres(lambda v: np.linalg.solve(m, a @ v), np.linalg.solve(m, b), m,
+                 rtol=1e-13, maxiter=300)
+    assert sol.converged
+    exact = np.linalg.solve(a, b)
+    np.testing.assert_allclose(sol.x, exact, atol=1e-8 * np.abs(exact).max())
+
+
+def test_lanczos_in_dense_metric_finds_generalized_eigenvalue():
+    m, a = metric_pair(60, 13)
+    smallest = scipy.linalg.eigh(a, m, eigvals_only=True)[0]
+    val, vec = lanczos_smallest(lambda v: np.linalg.solve(m, a @ v),
+                                np.zeros(60), m, n_steps=60)
+    assert val == pytest.approx(smallest, abs=1e-8)
+    assert vec @ (m @ vec) == pytest.approx(1.0, abs=1e-12)
+
+
+class CountingMetric:
+    """A metric that counts its products."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+
+def test_minres_makes_one_metric_product_per_iteration():
+    m, a = metric_pair(60, 14)
+    metric = CountingMetric(m)
+    b = np.random.default_rng(15).standard_normal(60)
+    sol = minres(lambda v: np.linalg.solve(m, a @ v), b, metric,
+                 rtol=1e-10, maxiter=300)
+    assert sol.converged and sol.iterations > 5
+    assert metric.products == sol.iterations + 1
+
+
+def test_lanczos_makes_three_metric_products_per_step():
+    m, a = metric_pair(60, 16)
+    metric = CountingMetric(m)
+    n_steps = 30
+    steps = []
+
+    def apply_a(v):
+        steps.append(1)
+        return np.linalg.solve(m, a @ v)
+
+    lanczos_smallest(apply_a, np.zeros(60), metric, n_steps=n_steps)
+    assert len(steps) == n_steps
+    assert metric.products <= 3 * n_steps + 2
 
 
 def test_minres_respects_projection():
