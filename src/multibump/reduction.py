@@ -9,8 +9,9 @@ and the correction solves the projected equation l_k + L phi = R'(phi)
 by a contraction iteration.  Everything here acts on flat arrays of
 sector cell values; the weighted H^1 inner product is carried by the
 sparse Gram operator G = K + diag(area * V), whose separable solver
-(``grid.gram_solver``: a DCT in theta, tridiagonals in rho) is built
-once per context.
+(``grid.gram_solver``: an orthonormal DCT-II matrix product in theta,
+O(n_rho n_theta^2) in BLAS, and tridiagonals in rho) is built once per
+context.
 
 Two linear functionals enter:
 
@@ -209,8 +210,11 @@ class ReductionContext:
         return self.gram_solver.solve(dual)
 
     def apply_l_operator(self, v):
-        """Image of the linearized-form Riesz operator, projected on E."""
-        v = self.project_orth(v)
+        """Image of the linearized-form Riesz operator, projected on E.
+
+        ``v`` must lie in E, as the Krylov iterates and corrections do;
+        the operator then maps E into E and is self-adjoint there.
+        """
         return self.project_orth(v - self._mass_image(v))
 
 

@@ -51,7 +51,9 @@ def minres(apply_a, b, metric, rtol=1e-10, maxiter=500, project=None):
     Parameters
     ----------
     apply_a : callable
-        Action of the operator on a flat vector.
+        Action of the operator on a flat vector.  With ``project``, it
+        must map the projection's range into itself (end with the
+        projection); its output is not projected again.
     b : ndarray
         Right-hand side, a flat vector.
     metric : matrix or None
@@ -62,8 +64,9 @@ def minres(apply_a, b, metric, rtol=1e-10, maxiter=500, project=None):
         Stop when the residual norm falls below rtol * |b|.
     maxiter : int
     project : callable, optional
-        Idempotent map applied to b and to every Lanczos vector; use it
-        to confine the iteration to an invariant subspace.
+        Idempotent map applied to b and to every new Lanczos vector
+        (one call per iteration, plus one for b); use it to confine the
+        iteration to an invariant subspace despite round-off.
 
     Returns
     -------
@@ -91,8 +94,6 @@ def minres(apply_a, b, metric, rtol=1e-10, maxiter=500, project=None):
 
     for it in range(1, maxiter + 1):
         av = apply_a(v)
-        if project is not None:
-            av = project(av)
         alpha = float(av @ gv)
         av = av - alpha * v - beta * v_prev
         if project is not None:

@@ -7,6 +7,7 @@ holds exactly, and the action value is the expansion constant A.
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.sparse.linalg import splu
 
 from multibump import (
@@ -140,6 +141,42 @@ def test_gram_solver_matches_sparse_lu(make_grid, shape):
     x_lu = splu(gram.tocsc()).solve(b)
     assert np.linalg.norm(x - x_lu) <= 1e-10 * np.linalg.norm(x_lu)
     assert np.linalg.norm(gram @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n_theta", [8, 35, 41, 47, 59, 421])
+def test_gram_solver_transform_is_the_orthonormal_dct(n_theta):
+    """The solver's DCT-II matrix is orthonormal and is scipy's transform,
+    its modes stored from the highest frequency down.
+
+    The sizes include the primes 41, 47, 59 and 421, the angular counts
+    where an FFT-based DCT is slowest.
+    """
+    g = build_sector_grid(1, 6.0, np.pi / (n_theta - 0.5))
+    assert g.n_theta == n_theta
+    c = gram_solver(g, PotentialSpec(a=1.0, m=2.0))._dct
+    assert c.shape == (n_theta, n_theta) and c.flags.c_contiguous
+    assert np.abs(c @ c.T - np.eye(n_theta)).max() <= 1e-13
+    x = np.random.default_rng(5).standard_normal(n_theta)
+    np.testing.assert_allclose((c @ x)[::-1], dct(x, type=2, norm="ortho"),
+                               rtol=0, atol=1e-13 * np.linalg.norm(x))
+
+
+def test_gram_solve_returns_a_fresh_flat_array():
+    g = build_aligned_sector_grid(8, 5.3, 0.15)
+    solver = gram_solver(g, PotentialSpec(a=1.0, m=2.0))
+    b = np.random.default_rng(6).standard_normal(g.n_cells)
+    kept = b.copy()
+    x = solver.solve(b)
+    assert x.shape == (g.n_cells,) and x.flags.c_contiguous
+    assert not np.shares_memory(x, b)
+    np.testing.assert_array_equal(b, kept)
+
+
+def test_gram_solve_refuses_a_wrong_size_input():
+    g = build_aligned_sector_grid(6, 4.5, 0.15)
+    solver = gram_solver(g, PotentialSpec(a=1.0, m=2.0))
+    with pytest.raises(ValidationError, match=f"needs {g.n_cells} .* got 10"):
+        solver.solve(np.ones(10))
 
 
 def test_gram_solver_refuses_an_indefinite_gram_matrix():

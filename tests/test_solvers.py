@@ -126,6 +126,29 @@ def test_minres_respects_projection():
     assert np.linalg.norm(resid) <= 1e-8
 
 
+def test_minres_projects_once_per_iteration():
+    """The operator maps the subspace into itself; only the new Lanczos
+    vector is projected, once per step, plus b once."""
+    a, _ = random_spd(40, 17)
+    rng = np.random.default_rng(18)
+    n_vec = rng.standard_normal(40)
+    n_vec /= np.linalg.norm(n_vec)
+    calls = []
+
+    def project(v):
+        calls.append(1)
+        return v - np.dot(n_vec, v) * n_vec
+
+    def apply_a(v):
+        av = a @ v
+        return av - np.dot(n_vec, av) * n_vec
+
+    b = rng.standard_normal(40)
+    sol = minres(apply_a, b, None, rtol=1e-10, project=project)
+    assert sol.converged and sol.iterations > 5
+    assert len(calls) == sol.iterations + 1
+
+
 def test_minres_iteration_cap():
     a, _ = random_spd(80, 6)
     rng = np.random.default_rng(7)
