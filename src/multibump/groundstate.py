@@ -36,6 +36,11 @@ SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 # 6th order central second-difference stencil, denominator 180 h^2.
 _D2_STENCIL = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])
 
+# Points per block of the profile's spline kernel.  A block's
+# temporaries stay in cache; unblocked, the kernel loses to scipy's
+# PPoly on the 1881 x 256 distance arrays of the interaction integrals.
+_BLOCK = 16384
+
 
 def _check_parameters(dimension: int, exponent: float) -> None:
     if dimension not in SPHERE_MEASURE:
@@ -99,37 +104,92 @@ class RadialProfile:
         return float(self.values[0])
 
     @cached_property
-    def _spline(self) -> CubicHermiteSpline:
-        return CubicHermiteSpline(self.s, self.values, self.derivatives)
+    def _intervals(self):
+        """Interval tables of the C^1 cubic through (s, values, derivatives).
 
-    @cached_property
-    def _spline_deriv(self):
-        return self._spline.derivative()
+        ``CubicHermiteSpline`` builds the power-basis coefficients, in
+        the local coordinate x = s - s_i, highest order first; the
+        derivative's are scipy's factors 3, 2, 1 times the leading
+        three.  The bounds carry -inf and +inf at the ends, so that a
+        point below s[0] lands in the first interval and s_max in the
+        last, as in scipy's ``PPoly``.
+        """
+        steps = np.diff(self.s)
+        h = (self.s[-1] - self.s[0]) / steps.size
+        if not np.all(np.abs(steps - h) <= 1e-6 * h):
+            raise ValidationError("profile nodes must be uniformly spaced")
+        c = CubicHermiteSpline(self.s, self.values, self.derivatives).c
+        lower = self.s[:-1].copy()
+        lower[0] = -np.inf
+        upper = self.s[1:].copy()
+        upper[-1] = np.inf
+        slope = c[:3] * np.array([3.0, 2.0, 1.0])[:, None]
+        return 1.0 / h, lower, upper, tuple(c), tuple(slope)
+
+    def _spline_block(self, x, u, du):
+        """Write the spline's U into u and U' into du (either may be None).
+
+        One interval lookup serves both: floor((x - s_0)/h), corrected
+        by one comparison each way to s_i <= x < s_{i+1} (the nodes are
+        uniform, so the estimate is off by at most one).  The terms are
+        summed in ``PPoly``'s order, c3 + c2 x + c1 (x x) + c0 ((x x) x),
+        so the values are bit-identical to the spline's.
+        """
+        inv_h, lower, upper, (c0, c1, c2, c3), (d0, d1, d2) = self._intervals
+        t = (x - self.s[0]) * inv_h
+        np.fmin(t, lower.size - 1, out=t)  # maps nan as well
+        np.fmax(t, 0.0, out=t)
+        i = t.astype(np.intp)
+        i -= x < lower.take(i)
+        i += x >= upper.take(i)
+        dx = x - self.s.take(i)
+        dx2 = dx * dx
+        if u is not None:
+            u[:] = c3.take(i) + c2.take(i) * dx + c1.take(i) * dx2 + c0.take(i) * (dx2 * dx)
+        if du is not None:
+            du[:] = d2.take(i) + d1.take(i) * dx + d0.take(i) * dx2
+
+    def _evaluate(self, s, value, slope):
+        """(U, U') at s, each None unless requested; the law beyond s_max."""
+        s = np.asarray(s, dtype=float)
+        flat = s.reshape(-1)
+        u = np.empty(flat.size) if value else None
+        du = np.empty(flat.size) if slope else None
+        for lo in range(0, flat.size, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            self._spline_block(flat[blk], None if u is None else u[blk],
+                               None if du is None else du[blk])
+        outside = ~(flat <= self.s_max)
+        if outside.any():
+            tail = flat[outside]
+            law = self._law(tail)
+            if value:
+                u[outside] = law
+            if slope:
+                du[outside] = -law * (1.0 + (self.dimension - 1) / (2.0 * tail))
+        return tuple(
+            None if out is None else (out.reshape(s.shape) if s.ndim else float(out[0]))
+            for out in (u, du)
+        )
 
     def _law(self, s):
         n = self.dimension
         return self.far_field_amplitude * s ** (-(n - 1) / 2.0) * np.exp(-s)
 
+    def evaluate(self, s):
+        """U and U' at s (scalar or array) from one interval lookup.
+
+        Beyond s_max both follow the far-field law.
+        """
+        return self._evaluate(s, True, True)
+
     def __call__(self, s):
         """Evaluate U at s (scalar or array), far-field law beyond s_max."""
-        s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        inside = s <= self.s_max
-        out[inside] = self._spline(s[inside])
-        if np.any(~inside):
-            out[~inside] = self._law(s[~inside])
-        return out if out.ndim else float(out)
+        return self._evaluate(s, True, False)[0]
 
     def deriv(self, s):
         """Evaluate U' at s, far-field law beyond s_max."""
-        s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        inside = s <= self.s_max
-        out[inside] = self._spline_deriv(s[inside])
-        if np.any(~inside):
-            tail = s[~inside]
-            out[~inside] = -self._law(tail) * (1.0 + (self.dimension - 1) / (2.0 * tail))
-        return out if out.ndim else float(out)
+        return self._evaluate(s, False, True)[1]
 
     def ode_residual_fd(self) -> float:
         """Max-norm ODE residual from a 6th order difference of the samples.

@@ -104,9 +104,10 @@ class ReductionContext:
         certification pass needs when it pins down the discrete
         critical radius before polishing.
     reuse : ReductionContext, optional
-        Another context on the same grid and potential; its assembled
-        Gram matrix and Gram solver are shared instead of rebuilt,
-        which makes a radius scan on one grid cheap.
+        Another context on the same grid and potential; its cell
+        weights, potential values, assembled Gram matrix and Gram
+        solver are shared instead of rebuilt, which makes a radius scan
+        on one grid cheap in time and memory.
     """
 
     def __init__(
@@ -134,10 +135,15 @@ class ReductionContext:
         self.grid = grid
         g = self.grid
         pts = g.mesh().reshape(-1, 2)
-        self.weights = g.cell_areas().reshape(-1).copy()
-        self.v_values = np.repeat(
-            np.asarray(potential(g.rho), dtype=float), g.n_theta
-        )
+        shared = reuse is not None and reuse.grid is g and reuse.potential == potential
+        if shared:
+            self.weights = reuse.weights
+            self.v_values = reuse.v_values
+        else:
+            self.weights = g.cell_areas().reshape(-1).copy()
+            self.v_values = np.repeat(
+                np.asarray(potential(g.rho), dtype=float), g.n_theta
+            )
 
         centers = place_bumps(k, self.r).centers
         p = profile.exponent
@@ -148,10 +154,10 @@ class ReductionContext:
         for c in centers:
             diff = pts - c
             dist = np.hypot(diff[:, 0], diff[:, 1])
-            u_j = profile(dist)
+            u_j, du_j = profile.evaluate(dist)
             safe = np.where(dist > 1e-14, dist, 1.0)
             cosine = (diff @ (c / self.r)) / safe
-            z_j = np.where(dist > 1e-14, -profile.deriv(dist) * cosine, 0.0)
+            z_j = np.where(dist > 1e-14, -du_j * cosine, 0.0)
             w_sum += u_j
             sum_up += u_j**p
             z_dir += z_j
@@ -160,8 +166,10 @@ class ReductionContext:
         self.w_ansatz = w_sum
         self.sum_up = sum_up
         self.exponent = p
+        # Dual of v -> p int W^{p-1} v (.), one diagonal entry per cell.
+        self._mass_diag = self.weights * (p * w_sum ** (p - 1.0))
 
-        if reuse is not None and reuse.grid is g and reuse.potential == potential:
+        if shared:
             self.gram = reuse.gram
             self.gram_solver = reuse.gram_solver
         else:
@@ -206,8 +214,7 @@ class ReductionContext:
 
     def _mass_image(self, v):
         """Riesz image of v -> p int W^{p-1} v (.)."""
-        dual = self.weights * (self.exponent * self.w_ansatz ** (self.exponent - 1.0) * v)
-        return self.gram_solver.solve(dual)
+        return self.gram_solver.solve(self._mass_diag * v)
 
     def apply_l_operator(self, v):
         """Image of the linearized-form Riesz operator, projected on E.
@@ -317,10 +324,16 @@ def nonlinear_remainder(ctx, phi):
         - 0.5 * (p + 1.0) * p * w ** (p - 1.0) * phi**2
     )
     value = 2.0 * ctx.k * float((ctx.weights * dens).sum()) / (p + 1.0)
-    dual = ctx.weights * (
-        np.abs(tot) ** p * np.sign(tot) - w**p - p * w ** (p - 1.0) * phi
-    )
-    return value, ctx.project_orth(ctx.gram_solver.solve(dual))
+    return value, _remainder_gradient(ctx, phi)
+
+
+def _remainder_gradient(ctx, phi):
+    """R'(phi) alone: the Riesz representative, projected into E."""
+    w = ctx.w_ansatz
+    p = ctx.exponent
+    tot = w + phi
+    dual = ctx.weights * (np.abs(tot) ** p * np.sign(tot) - w**p) - ctx._mass_diag * phi
+    return ctx.project_orth(ctx.gram_solver.solve(dual))
 
 
 @dataclass
@@ -370,7 +383,12 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
     Starting from phi = 0, each outer step solves the projected linear
     problem L phi_new = -(l_k - R'(phi)) with a constraint-preserving
     MINRES, stopping when both the update norm and the projected
-    gradient fall below tol.
+    gradient fall below tol.  The step is solved for the update d =
+    phi_new - phi from L d = -gap, where gap = l_k + L phi - R'(phi) is
+    the projected gradient the previous step measured, to the absolute
+    accuracy inner_rtol |l_k - R'(phi)| that a solve for phi_new from
+    zero would reach; late steps, whose gap is small, then take few
+    Krylov iterations.
 
     Parameters
     ----------
@@ -413,25 +431,32 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
     ratios = []
     prev_update = None
     bad_ratio_streak = 0
-    residual = np.inf
-    _, r_grad = nonlinear_remainder(ctx, phi)
+    r_grad = _remainder_gradient(ctx, phi)
+    gap = l_flat - r_grad
+    residual = ctx.norm(gap)
     for outer in range(1, max_outer + 1):
-        rhs = ctx.project_orth(-(l_flat - r_grad))
-        sol = minres(
-            ctx.apply_l_operator,
-            rhs,
-            ctx.gram,
-            rtol=inner_rtol,
-            maxiter=400,
-            project=ctx.project_orth,
-        )
-        if not sol.converged:
-            raise ConvergenceError(
-                "inner linear solve did not converge",
-                iterations=sol.iterations,
-                residual=sol.residual_norm,
+        # The accuracy a solve of L phi_new = -(l_k - R'(phi)) from zero
+        # reaches, asked of the update's equation L d = -gap instead.
+        target = inner_rtol * ctx.norm(l_flat - r_grad)
+        if residual <= target:
+            d = np.zeros_like(phi)
+        else:
+            sol = minres(
+                ctx.apply_l_operator,
+                -gap,
+                ctx.gram,
+                rtol=target / residual,
+                maxiter=400,
+                project=ctx.project_orth,
             )
-        update = ctx.norm(sol.x - phi)
+            if not sol.converged:
+                raise ConvergenceError(
+                    "inner linear solve did not converge",
+                    iterations=sol.iterations,
+                    residual=sol.residual_norm,
+                )
+            d = sol.x
+        update = ctx.norm(d)
         if prev_update is not None and prev_update > 0.0:
             ratio = update / prev_update
             ratios.append(ratio)
@@ -444,10 +469,11 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
             else:
                 bad_ratio_streak = 0
         prev_update = update
-        phi = sol.x
-        # Projected Euler-Lagrange residual; R'(phi) feeds the next step.
-        _, r_grad = nonlinear_remainder(ctx, phi)
-        residual = ctx.norm(l_flat + ctx.apply_l_operator(phi) - r_grad)
+        phi = phi + d
+        # Projected Euler-Lagrange residual; it and R'(phi) feed the next step.
+        r_grad = _remainder_gradient(ctx, phi)
+        gap = l_flat + ctx.apply_l_operator(phi) - r_grad
+        residual = ctx.norm(gap)
         if update <= tol and residual <= tol:
             return CorrectionResult(
                 phi=phi,

@@ -143,6 +143,27 @@ def test_gram_solver_matches_sparse_lu(make_grid, shape):
     assert np.linalg.norm(gram @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("h", [0.1, 0.15])
+@pytest.mark.parametrize("k", [1, 6, 12, 24])
+def test_gram_solve_residual_is_at_rounding_level(k, h):
+    """||G x - b|| stays below eps ||G||_1 ||x||, the residual that
+    rounding G's entries alone allows, for several right-hand sides.
+
+    A bound relative to ||b|| alone holds for some b and not others at
+    the same accuracy; this one bounds the solver, not the sample.
+    """
+    r = 10.0 if k == 1 else _upper_edge(k)
+    g = build_aligned_sector_grid(k, r, h)
+    pot = PotentialSpec(a=1.0, m=2.0)
+    gram = gram_matrix(g, pot)
+    solver = gram_solver(g, pot)
+    scale = np.finfo(float).eps * abs(gram).sum(axis=0).max()
+    for seed in range(3, 8):
+        b = np.random.default_rng(seed).standard_normal(g.n_cells)
+        x = solver.solve(b)
+        assert np.linalg.norm(gram @ x - b) <= scale * np.linalg.norm(x)
+
+
 @pytest.mark.parametrize("n_theta", [8, 35, 41, 47, 59, 421])
 def test_gram_solver_transform_is_the_orthonormal_dct(n_theta):
     """The solver's DCT-II matrix is orthonormal and is scipy's transform,

@@ -8,6 +8,7 @@ collocation stages.
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from multibump import (
     PotentialSpec,
@@ -102,3 +103,74 @@ def test_parameter_validation():
         solve_ground_state(2, 3.0, s_max=5.0)
     with pytest.raises(ValidationError):
         radial_integral(solve_ground_state(1, 3.0), 0.5)
+
+
+def spline_and_law(profile, s):
+    """U and U' from scipy's spline up to s_max and the decay law beyond."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    spline = CubicHermiteSpline(profile.s, profile.values, profile.derivatives)
+    u, du = spline(s), spline.derivative()(s)
+    out = s > profile.s_max
+    tail = s[out]
+    n = profile.dimension
+    law = profile.far_field_amplitude * tail ** (-(n - 1) / 2.0) * np.exp(-tail)
+    u[out] = law
+    du[out] = -law * (1.0 + (n - 1) / (2.0 * tail))
+    return u, du
+
+
+def profile_points(profile):
+    rng = np.random.default_rng(0)
+    d = 12.0
+    s = np.linspace(0.0, d + profile.s_max + 5.0, 1881)
+    w = 2.0 * np.pi * np.arange(256) / 256
+    return {
+        "random": rng.uniform(0.0, 45.0, 10**5),
+        "nodes": profile.s,
+        "below_nodes": np.nextafter(profile.s, 0.0),
+        "beyond": profile.s_max + np.array([1e-12, 0.01, 0.5, 7.0, 15.0]),
+        # the distance array of a planar interaction integral
+        "ring": np.sqrt(s[:, None] ** 2 + d * d - 2.0 * d * s[:, None] * np.cos(w)),
+    }
+
+
+@pytest.mark.parametrize("name", ["random", "nodes", "below_nodes", "beyond", "ring"])
+def test_profile_kernel_is_bit_identical_to_the_spline(profile2d, name):
+    """One interval lookup gives exactly scipy's spline values, at and
+    one ulp below every node too, and the decay law past s_max."""
+    s = profile_points(profile2d)[name]
+    u, du = spline_and_law(profile2d, s.ravel())
+    got_u, got_du = profile2d.evaluate(s)
+    assert got_u.shape == got_du.shape == s.shape
+    assert np.array_equal(got_u.ravel(), u)
+    assert np.array_equal(got_du.ravel(), du)
+    assert np.array_equal(profile2d(s).ravel(), u)
+    assert np.array_equal(profile2d.deriv(s).ravel(), du)
+
+
+def test_profile_kernel_on_scalars(profile2d):
+    for s in (0.0, 2.5, profile2d.s_max, 40.0):
+        u, du = spline_and_law(profile2d, s)
+        assert profile2d(s) == u[0] and isinstance(profile2d(s), float)
+        assert profile2d.deriv(s) == du[0] and isinstance(profile2d.deriv(s), float)
+        assert profile2d.evaluate(s) == (u[0], du[0])
+
+
+def test_profile_kernel_after_csv_round_trip(profile2d, tmp_path):
+    path = tmp_path / "profile.csv"
+    profile2d.to_csv(path)
+    back = RadialProfile.from_csv(path)
+    s = profile_points(back)["random"]
+    u, du = spline_and_law(back, s)
+    got_u, got_du = back.evaluate(s)
+    assert np.array_equal(got_u, u) and np.array_equal(got_du, du)
+    assert np.array_equal(got_u, profile2d(s))
+
+
+def test_profile_kernel_refuses_uneven_nodes(profile2d):
+    s = profile2d.s.copy()
+    s[5] += 0.3 * profile2d.h
+    uneven = RadialProfile(2, 3.0, s, profile2d.values, profile2d.derivatives,
+                           profile2d.far_field_amplitude)
+    with pytest.raises(ValidationError, match="uniformly spaced"):
+        uneven(1.0)

@@ -19,7 +19,9 @@ from multibump import (
     riesz_lk,
     solve_correction,
 )
+from multibump import reduction
 from multibump.reduction import nonlinear_remainder
+from multibump.solvers import minres
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,8 @@ def test_reuse_shares_the_gram_solver(ctx8, profile2d, potential):
     )
     assert other.gram_solver is ctx8.gram_solver
     assert other.gram is ctx8.gram
+    assert other.weights is ctx8.weights
+    assert other.v_values is ctx8.v_values
 
 
 def test_norm_is_induced_by_inner(ctx8):
@@ -110,6 +114,23 @@ def test_correction_contracts_at_window_midpoint(ctx8):
     assert abs(corr.constraint_value) <= 1e-10
     assert corr.residual <= 1e-8
     assert corr.norm > 0.0
+
+
+def test_late_correction_steps_solve_for_the_update(ctx8, monkeypatch):
+    """Each outer step solves for the update from the measured gap, to
+    the accuracy a solve from zero reaches, so the last steps take
+    few Krylov iterations."""
+    iterations = []
+
+    def counted(*args, **kwargs):
+        sol = minres(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(reduction, "minres", counted)
+    corr = solve_correction(ctx8, tol=1e-8)
+    assert len(iterations) == corr.iterations >= 3
+    assert iterations[-1] <= iterations[0] / 2
 
 
 def test_a_posteriori_norm_bound(ctx8):
