@@ -62,13 +62,15 @@ def _fit_default_law(profile):
     return fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
 
 
-def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
-    """Damped Newton iteration for the projected correction equation.
+def _newton_correction(ctx, tol=1e-8, max_outer=40):
+    """Inexact damped Newton iteration for the projected correction equation.
 
     Fallback used where the plain fixed-point map stops contracting
-    (strongly overlapping bumps).  Solves the same equation with the
-    Hessian linearized at the current iterate and a backtracking line
-    search on the projected gradient norm.
+    (strongly overlapping bumps).  Each step solves the Hessian system
+    by MINRES to the forcing term max(1e-10, min(0.1, |g|^(1/2)))
+    relative to the projected gradient g (Eisenstat & Walker 1996),
+    then backtracks on |g|.  The gradient l + P(v - G^-1(mass v +
+    w cubic)) costs one Gram solve.
     """
     w = ctx.weights
     l_flat = riesz_lk(ctx).field
@@ -79,8 +81,8 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
     def grad(v):
         u = wb + v
         cubic = np.abs(u) ** (p - 1.0) * u - wb**p - p * wb ** (p - 1.0) * v
-        r_grad = ctx.project_orth(ctx.gram_solver.solve(w * cubic))
-        return l_flat + ctx.apply_l_operator(v) - r_grad
+        dual = ctx._mass_diag * v + w * cubic
+        return l_flat + ctx.project_orth(v - ctx.gram_solver.solve(dual))
 
     g = grad(phi)
     g_norm = ctx.norm(g)
@@ -105,7 +107,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40, inner_rtol=1e-10):
             hess,
             ctx.project_orth(-g),
             ctx.gram,
-            rtol=inner_rtol,
+            rtol=max(1e-10, min(0.1, math.sqrt(g_norm))),
             maxiter=800,
             project=ctx.project_orth,
         )
@@ -222,7 +224,9 @@ def reduced_energy(
     h, tol, margin
         Grid spacing, correction tolerance, Dirichlet margin.
     rescue : bool
-        Allow the damped-Newton fallback when contraction fails.
+        Allow the damped-Newton fallback when contraction fails; its
+        steps are solved inexactly, to a forcing term that tightens as
+        the projected gradient g shrinks, with one Gram solve per g.
 
     Returns
     -------

@@ -65,16 +65,12 @@ class ConstraintSpec:
 
     Attributes
     ----------
-    weight : ndarray
-        Symmetrized weight on sector cells; pairing v against it with
-        the cell areas and the 2k sector factor evaluates c(v).
     z_direction : ndarray
         The field Z = dW/dr, the soft ring-translation direction.
     gamma : float
         c(Z), the pairing of the constraint with the Z direction.
     """
 
-    weight: np.ndarray
     z_direction: np.ndarray
     gamma: float
 
@@ -185,7 +181,7 @@ class ReductionContext:
                 "constraint pairing with the Z direction vanished; "
                 "degenerate profile or radius"
             )
-        self.constraint = ConstraintSpec(weight=wc, z_direction=z_dir, gamma=gamma)
+        self.constraint = ConstraintSpec(z_direction=z_dir, gamma=gamma)
         self._q = q
         self._z_orth = self.gram_solver.solve(q)
         self._cz_orth = 2.0 * k * float(q @ self._z_orth)

@@ -9,7 +9,9 @@ from scipy.optimize import brentq
 
 from multibump import (
     ContractionError,
+    ConvergenceError,
     NumericalError,
+    PotentialSpec,
     ReducedEnergyCurve,
     ValidationError,
     admissible_radii,
@@ -111,6 +113,29 @@ def test_correction_barely_moves_the_ansatz_energy(profile2d, potential,
     shift = abs(res.value - i_w)
     assert shift <= 1.0 / k
     assert shift <= riesz_lk(ctx).norm * res.correction.norm
+
+
+def test_newton_rescue_is_accepted_where_the_contraction_stops(profile2d, law2d):
+    """At a = 2, k = 4 the upper window edge needs the rescue, and it holds.
+
+    The inexact Newton steps must still land on the constrained critical
+    point: converged residual, c(phi) = 0 and a perturbative norm.
+    """
+    stronger = PotentialSpec(a=2.0, m=2.0)
+    r = admissible_radii(4, stronger.m, beta=0.1).upper
+    res = reduced_energy(profile2d, stronger, 4, r, law=law2d, h=0.15)
+    ctx = build_reduction_context(profile2d, stronger, 4, r, h=0.15)
+    assert res.method == "newton"
+    assert res.correction.residual <= 1e-8
+    assert abs(res.correction.constraint_value) <= 1e-8
+    assert res.correction.norm <= 0.25 * ctx.norm(ctx.w_ansatz)
+
+
+def test_lower_edge_radius_is_still_refused(profile2d, potential, law2d):
+    """The lowest coarse k = 6 radius stays a typed refusal after the rescue."""
+    r = admissible_radii(6, potential.m, beta=0.1).lower
+    with pytest.raises((ContractionError, ConvergenceError)):
+        reduced_energy(profile2d, potential, 6, r, law=law2d, h=0.15)
 
 
 def test_desk_scale_curve_is_monotone(profile2d, potential, constants2d, law2d):
