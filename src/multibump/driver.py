@@ -62,6 +62,19 @@ def _fit_default_law(profile):
     return fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
 
 
+# A correction is only meaningful while it stays perturbative; past this
+# fraction of the ansatz norm the constrained critical point belongs to a
+# different branch and its energy must not enter the reduced curve.
+_PERTURBATIVE_FRACTION = 0.25
+
+
+def _beyond_cap(norm, cap, r):
+    return ContractionError(
+        "correction of size %.3f exceeds the perturbative cap %.3f; "
+        "the ansatz at r=%.4f has no small correction" % (norm, cap, r)
+    )
+
+
 def _newton_correction(ctx, tol=1e-8, max_outer=40):
     """Inexact damped Newton iteration for the projected correction equation.
 
@@ -71,12 +84,18 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40):
     relative to the projected gradient g (Eisenstat & Walker 1996),
     then backtracks on |g|.  The gradient l + P(v - G^-1(mass v +
     w cubic)) costs one Gram solve.
+
+    Refusals come early: ContractionError once a full step (alpha = 1)
+    cuts |g| fourfold with |phi| - |step| above the perturbative cap
+    (the limit then lies within |step| of phi; Deuflhard 2004, 2.1),
+    ConvergenceError once |g| falls by under 10% in 8 accepted steps.
     """
     w = ctx.weights
     l_flat = riesz_lk(ctx).field
     phi = np.zeros_like(l_flat)
     wb = ctx.w_ansatz
     p = ctx.exponent
+    cap = _PERTURBATIVE_FRACTION * ctx.norm(wb)
 
     def grad(v):
         u = wb + v
@@ -86,6 +105,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40):
 
     g = grad(phi)
     g_norm = ctx.norm(g)
+    g_history = [g_norm]
     ratios = []
     prev_step = None
     for outer in range(1, max_outer + 1):
@@ -131,20 +151,25 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40):
         if prev_step is not None and prev_step > 0.0:
             ratios.append(step / prev_step)
         prev_step = step
+        if alpha == 1.0 and g_trial_norm <= 0.25 * g_norm:
+            lower = ctx.norm(trial) - step
+            if lower > cap:
+                raise _beyond_cap(lower, cap, ctx.r)
         phi = trial
         g = g_trial
         g_norm = g_trial_norm
+        g_history.append(g_norm)
+        if len(g_history) > 8 and g_norm > 0.9 * g_history[-9]:
+            raise ConvergenceError(
+                "projected newton stagnated; no nearby correction",
+                iterations=outer,
+                residual=g_norm,
+            )
     raise ConvergenceError(
         "projected newton did not reach tolerance",
         iterations=max_outer,
         residual=g_norm,
     )
-
-
-# A correction is only meaningful while it stays perturbative; past this
-# fraction of the ansatz norm the constrained critical point belongs to a
-# different branch and its energy must not enter the reduced curve.
-_PERTURBATIVE_FRACTION = 0.25
 
 
 def _solve_with_rescue(ctx, tol=1e-8, rescue=True):
@@ -165,10 +190,7 @@ def _solve_with_rescue(ctx, tol=1e-8, rescue=True):
         corr, method = _newton_correction(ctx, tol=tol), "newton"
     cap = _PERTURBATIVE_FRACTION * ctx.norm(ctx.w_ansatz)
     if corr.norm > cap:
-        raise ContractionError(
-            "correction of size %.3f exceeds the perturbative cap %.3f; "
-            "the ansatz at r=%.4f has no small correction" % (corr.norm, cap, ctx.r)
-        )
+        raise _beyond_cap(corr.norm, cap, ctx.r)
     return corr, method
 
 
@@ -226,7 +248,8 @@ def reduced_energy(
     rescue : bool
         Allow the damped-Newton fallback when contraction fails; its
         steps are solved inexactly, to a forcing term that tightens as
-        the projected gradient g shrinks, with one Gram solve per g.
+        the projected gradient g shrinks, with one Gram solve per g,
+        and a refusal (past the cap, or stagnant) is raised early.
 
     Returns
     -------

@@ -281,7 +281,8 @@ def coercivity_probe(ctx, n_probe=60, seed=0):
     ----------
     ctx : ReductionContext
     n_probe : int
-        Lanczos steps, at least 20.
+        Cap on the Lanczos steps, at least 20; the run stops earlier at
+        a converged Ritz value (``solvers.lanczos_smallest``).
     seed : int
         Seed of the randomized start vector.
 

@@ -23,6 +23,8 @@ from .errors import NumericalError
 
 __all__ = ["MinresResult", "minres", "lanczos_smallest"]
 
+RITZ_RTOL = 1e-8  # Lanczos stops at Ritz residual bound <= RITZ_RTOL |theta|
+
 
 @dataclass
 class MinresResult:
@@ -153,7 +155,10 @@ def lanczos_smallest(apply_a, shape_like, metric, n_steps=60, seed=0, project=No
         Symmetric positive definite M (anything with ``@``) in whose
         inner product ``apply_a`` is self-adjoint; None means Euclidean.
     n_steps : int
-        Number of Lanczos steps (matrix applications).
+        Cap on the Lanczos steps (matrix applications).  The iteration
+        stops once the smallest Ritz value theta of the tridiagonal has
+        residual bound beta_j |s_j| <= RITZ_RTOL |theta| (Parlett 1980,
+        13.2), s_j the last entry of its normalized eigenvector.
     seed : int
         Seed for the randomized start vector.
     project : callable, optional
@@ -199,16 +204,15 @@ def lanczos_smallest(apply_a, shape_like, metric, n_steps=60, seed=0, project=No
             w = project(w)
         gw = m_dot(w)
         beta = np.sqrt(max(float(w @ gw), 0.0))
-        if beta < 1e-14:
+        theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        if beta < 1e-14 or beta * abs(s[-1, 0]) <= RITZ_RTOL * abs(theta[0]):
             break
         betas.append(beta)
         basis[j + 1] = w / beta
         gq = gw / beta
 
-    n = len(alphas)
-    vals, vecs = eigh_tridiagonal(alphas, betas[: n - 1], select="i", select_range=(0, 0))
-    ritz = vecs[:, 0] @ basis[:n]
+    ritz = s[:, 0] @ basis[: len(alphas)]
     nr = np.sqrt(max(float(ritz @ m_dot(ritz)), 0.0))
     if nr > 0.0:
         ritz = ritz / nr
-    return float(vals[0]), ritz
+    return float(theta[0]), ritz

@@ -26,6 +26,8 @@ from multibump import (
     riesz_lk,
     scaling_study,
 )
+from multibump import driver
+from multibump.solvers import minres
 
 
 def ring_formula(k, a_const=1.0, b1=1.0, b2=1.0, m=2.0):
@@ -115,27 +117,48 @@ def test_correction_barely_moves_the_ansatz_energy(profile2d, potential,
     assert shift <= riesz_lk(ctx).norm * res.correction.norm
 
 
-def test_newton_rescue_is_accepted_where_the_contraction_stops(profile2d, law2d):
-    """At a = 2, k = 4 the upper window edge needs the rescue, and it holds.
+@pytest.mark.parametrize("k, sample", [(4, 10), (4, 7), (8, 3)],
+                         ids=["k4-upper", "k4-r1.9869", "k8-r4.6298"])
+def test_newton_rescue_is_accepted_where_the_contraction_stops(profile2d, law2d,
+                                                               k, sample):
+    """At a = 2 these coarse radii need the rescue, and it holds.
 
     The inexact Newton steps must still land on the constrained critical
-    point: converged residual, c(phi) = 0 and a perturbative norm.
+    point: converged residual, c(phi) = 0 and a perturbative norm.  At
+    k = 4, r = 1.9869 (norm 2.90, cap 3.06) and k = 8, r = 4.6298 (norm
+    3.55, cap 3.66) the accepted correction lies closest to the cap, so
+    an early cap verdict that refused too soon would show here.
     """
     stronger = PotentialSpec(a=2.0, m=2.0)
-    r = admissible_radii(4, stronger.m, beta=0.1).upper
-    res = reduced_energy(profile2d, stronger, 4, r, law=law2d, h=0.15)
-    ctx = build_reduction_context(profile2d, stronger, 4, r, h=0.15)
+    window = admissible_radii(k, stronger.m, beta=0.1)
+    r = np.linspace(window.lower, window.upper, 11)[sample]
+    res = reduced_energy(profile2d, stronger, k, r, law=law2d, h=0.15)
+    ctx = build_reduction_context(profile2d, stronger, k, r, h=0.15)
     assert res.method == "newton"
     assert res.correction.residual <= 1e-8
     assert abs(res.correction.constraint_value) <= 1e-8
     assert res.correction.norm <= 0.25 * ctx.norm(ctx.w_ansatz)
 
 
-def test_lower_edge_radius_is_still_refused(profile2d, potential, law2d):
-    """The lowest coarse k = 6 radius stays a typed refusal after the rescue."""
+def test_lower_edge_radius_is_still_refused(profile2d, potential, law2d,
+                                           monkeypatch):
+    """The lowest coarse k = 6 radius stays a typed refusal after the rescue.
+
+    The damped steps there barely shrink |g|, so the stagnation verdict
+    must end the rescue well before its 40-step cap; each Newton step
+    makes one ``driver.minres`` call.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minres(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "minres", counted)
     r = admissible_radii(6, potential.m, beta=0.1).lower
     with pytest.raises((ContractionError, ConvergenceError)):
         reduced_energy(profile2d, potential, 6, r, law=law2d, h=0.15)
+    assert 1 <= len(calls) <= 15
 
 
 def test_desk_scale_curve_is_monotone(profile2d, potential, constants2d, law2d):

@@ -8,6 +8,7 @@ identity being tested drowns in rounding error.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multibump import (
     ContractionError,
@@ -142,6 +143,23 @@ def test_a_posteriori_norm_bound(ctx8):
     _, r_grad = nonlinear_remainder(ctx8, corr.phi)
     bound = 2.0 * (rep.norm + ctx8.norm(r_grad)) / rho
     assert corr.norm <= bound
+
+
+def test_coercivity_probe_matches_the_dense_pencil(profile2d, potential):
+    """rho is min |mu| over the pencil (G - M, G) restricted to E.
+
+    M is the diagonal of v -> p int W^{p-1} v; at h = 0.5 the context
+    has a few hundred cells, so the pencil is solved densely on a basis
+    of E = ker c.
+    """
+    window = admissible_radii(6, potential.m, beta=0.1)
+    ctx = build_reduction_context(profile2d, potential, 6, window.midpoint, h=0.5)
+    assert ctx.grid.n_cells <= 600
+    gram = ctx.gram.toarray()
+    basis = scipy.linalg.null_space(ctx._q[None, :])
+    mu = scipy.linalg.eigh(basis.T @ (gram - np.diag(ctx._mass_diag)) @ basis,
+                           basis.T @ gram @ basis, eigvals_only=True)
+    assert coercivity_probe(ctx, seed=0) == pytest.approx(np.abs(mu).min(), rel=1e-8)
 
 
 def test_free_potential_needs_no_correction(profile2d, free_potential):

@@ -111,6 +111,26 @@ def test_lanczos_makes_three_metric_products_per_step():
     assert metric.products <= 3 * n_steps + 2
 
 
+def test_lanczos_stops_at_a_converged_ritz_value():
+    """A well separated smallest eigenvalue ends the run before the cap."""
+    m, _ = random_spd(80, 19)
+    chol = np.linalg.cholesky(m)
+    q, _ = np.linalg.qr(np.random.default_rng(20).standard_normal((80, 80)))
+    eigs = np.concatenate([[0.1], np.random.default_rng(21).uniform(1.0, 2.0, 79)])
+    a = chol @ q @ np.diag(eigs) @ q.T @ chol.T  # pencil (a, m) has eigenvalues eigs
+    steps = []
+
+    def apply_a(v):
+        steps.append(1)
+        return np.linalg.solve(m, a @ v)
+
+    n_steps = 60
+    val, _ = lanczos_smallest(apply_a, np.zeros(80), m, n_steps=n_steps)
+    assert len(steps) < n_steps
+    smallest = scipy.linalg.eigh(a, m, eigvals_only=True)[0]
+    assert val == pytest.approx(smallest, abs=1e-10)
+
+
 def test_minres_respects_projection():
     a, _ = random_spd(40, 4)
     rng = np.random.default_rng(5)
