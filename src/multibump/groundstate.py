@@ -9,24 +9,28 @@ multi-bump ansatz.  U decays like c s^{-(N-1)/2} e^{-s}; the stored
 profile covers [0, S_max] on a uniform grid and carries the matched
 far-field amplitude c so evaluation beyond S_max follows the decay law.
 
-The solve proceeds in two passes.  A shooting pass integrates from the
-origin with an adaptive RK45 scheme and bisects on U(0): too large an
-initial height makes the trajectory cross zero, too small makes it turn
-upward while still positive.  Pure shooting cannot carry the decaying
-separatrix to s = 30 in double precision (departures grow like e^{+s}),
-so a collocation pass then solves the two-point problem on [0, S_max]
-with the far-field Robin condition U' + (1 + (N-1)/(2s)) U = 0 at the
-right end, using the shooting trajectory as the initial guess.
+The solve takes three steps.  Collocation in w = log U, q = U'/U first
+estimates U(0).  A shooting bisection on U(0) follows: an adaptive RK45
+trajectory from the origin crosses zero when the initial height is too
+large and turns upward while still positive when it is too small; only
+the midpoints near the estimate are shot, the others take their class
+from it.  Pure shooting cannot carry the decaying separatrix to s = 30
+in double precision (departures grow like e^{+s}), so a collocation pass
+then solves the two-point problem on [0, S_max] with the far-field Robin
+condition U' + (1 + (N-1)/(2s)) U = 0 at the right end, using the
+shooting trajectory as the initial guess.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad, simpson, solve_bvp, solve_ivp
+from scipy.integrate import RK45, cumulative_trapezoid, quad, simpson, solve_bvp, solve_ivp
+from scipy.optimize import brentq
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import BracketError, ConvergenceError, ValidationError
@@ -40,6 +44,9 @@ _D2_STENCIL = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])
 # temporaries stay in cache; unblocked, the kernel loses to scipy's
 # PPoly on the 1881 x 256 distance arrays of the interaction integrals.
 _BLOCK = 16384
+
+# Relative half-width of the bracket that shooting confirms around the U(0) estimate.
+_ESTIMATE_SLACK = 1e-8
 
 
 def _check_parameters(dimension: int, exponent: float) -> None:
@@ -60,12 +67,13 @@ def _nonlinearity(u, exponent):
 
 
 def _radial_rhs(dimension, exponent):
-    """First-order form (U, U')' = rhs(s, (U, U')) of the radial ODE."""
+    """First-order form (U, U')' = rhs(s, (U, U')) of the radial ODE, in Python floats."""
+    exponent = float(exponent)
 
     def rhs(s, y):
-        u, du = y
-        friction = (dimension - 1) / s * du if s > 0 else 0.0
-        return [du, u - _nonlinearity(u, exponent) - friction]
+        u, du = y.tolist()
+        friction = (dimension - 1) / float(s) * du if s > 0 else 0.0
+        return [du, u - math.copysign(abs(u) ** exponent, u) - friction]
 
     return rhs
 
@@ -281,48 +289,99 @@ def classify_trajectory(alpha: float, dimension: int, exponent: float,
 
     Returns "crosses" when U reaches zero with negative slope (alpha too
     large) and "turns" when U' vanishes while U > 0 (alpha too small).
+    RK45 is stepped with ``solve_ivp``'s terminal-event rule, so steps and
+    class are those of ``solve_ivp(..., events=...)``: U_old >= 0 >= U
+    crosses, U'_old <= 0 <= U' turns, and when both hold the earlier
+    root on the step's dense output wins, a tie going to "crosses".
     """
-
-    def ev_cross(s, y):
-        return y[0]
-
-    ev_cross.terminal = True
-    ev_cross.direction = -1
-
-    def ev_turn(s, y):
-        return y[1]
-
-    ev_turn.terminal = True
-    ev_turn.direction = 1
-
     s0 = 1e-3
-    y0 = _series_start(alpha, s0, dimension, exponent)
-    sol = solve_ivp(_radial_rhs(dimension, exponent), (s0, s_end), y0, method="RK45",
-                    rtol=1e-10, atol=1e-12, events=(ev_cross, ev_turn))
-    if sol.t_events[0].size:
-        return "crosses"
-    if sol.t_events[1].size:
-        return "turns"
-    # Ran to s_end hugging the separatrix: the sign of the growing mode
-    # U' + U (1 + (N-1)/(2s)) says which side we are on.
-    u, du = sol.y[:, -1]
+    solver = RK45(_radial_rhs(dimension, exponent), s0,
+                  _series_start(alpha, s0, dimension, exponent), s_end,
+                  rtol=1e-10, atol=1e-12)
+    u_old, du_old = solver.y
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            break
+        u, du = solver.y
+        crosses, turns = u_old >= 0.0 >= u, du_old <= 0.0 <= du
+        if crosses and turns:
+            dense, eps = solver.dense_output(), 4.0 * np.finfo(float).eps
+            cross_s, turn_s = (brentq(lambda s, k=k: dense(s)[k], solver.t_old, solver.t,
+                                      xtol=eps, rtol=eps) for k in (0, 1))
+            crosses = cross_s <= turn_s
+        if crosses or turns:
+            return "crosses" if crosses else "turns"
+        u_old, du_old = u, du
+    # Ran to s_end hugging the separatrix (or the step failed): the sign
+    # of the growing mode U' + U (1 + (N-1)/(2s)) says which side we are on.
+    u, du = solver.y
     grow = du + u * (1.0 + (dimension - 1) / (2.0 * s_end))
     return "turns" if grow > 0 else "crosses"
 
 
-def _bisect_alpha(dimension: int, exponent: float, tol: float) -> tuple[float, float]:
-    """Bracket of width tol around U(0), by bisection on the trajectory class."""
+def _u0_estimate(dimension: int, exponent: float, s_max: float) -> float | None:
+    """U(0) by collocation in w = log U and q = U'/U, or None on failure.
+
+    The ODE reads w' = q, q' = -q^2 - (N-1) q/s + 1 - e^{(p-1) w}, with
+    q(0) = 0, the decay law q(s_max) = -1 - (N-1)/(2 s_max) and (N-1) q/s
+    as ``solve_bvp``'s singular term.  The guess is the 1-D closed form's
+    height times roughly U(0)'s ratio to it at 1.5 <= p <= 4, with q
+    bending from the core's slope -kappa s onto the decay law.
+    """
+    n, p = dimension, exponent
+    alpha = (1.0, 1.55, 3.0)[n - 1] * ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+    kappa = (alpha ** (p - 1.0) - 1.0) / n
+    s = np.linspace(0.0, s_max, 200)
+    over_law = 2.0 * s / (2.0 * s + n - 1) if n > 1 else 1.0
+    q = -kappa * s / np.sqrt(1.0 + (kappa * s * over_law) ** 2)
+    guess = np.vstack([np.log(alpha) + cumulative_trapezoid(q, s, initial=0.0), q])
+
+    def rhs(x, y):
+        return np.vstack([y[1], 1.0 - y[1] ** 2 - np.exp((p - 1.0) * y[0])])
+
+    def bc(ya, yb):
+        return np.array([ya[1], yb[1] + 1.0 + (n - 1) / (2.0 * s_max)])
+
+    with np.errstate(all="ignore"):
+        sol = solve_bvp(rhs, bc, s, guess, S=np.diag([0.0, 1.0 - n]), tol=1e-9,
+                        max_nodes=5000)
+        u0 = np.exp(sol.y[0, 0])
+    return float(u0) if sol.status == 0 and np.isfinite(u0) else None
+
+
+def _bisect_alpha(dimension: int, exponent: float, tol: float,
+                  s_max: float) -> tuple[float, float]:
+    """Bracket of width tol around U(0), by bisection on the trajectory class.
+
+    When shooting confirms "turns" just below the estimate of U(0) and
+    "crosses" just above it, a height outside that bracket takes its
+    class from the estimate and only the midpoints inside it are shot;
+    otherwise every height is shot.  The midpoints are the same either way.
+    """
+    known = (-np.inf, np.inf)
+    estimate = _u0_estimate(dimension, exponent, s_max)
+    if estimate is not None:
+        near = (estimate * (1.0 - _ESTIMATE_SLACK), estimate * (1.0 + _ESTIMATE_SLACK))
+        if [classify_trajectory(a, dimension, exponent) for a in near] == ["turns", "crosses"]:
+            known = near
+
+    def classify(alpha):
+        if known[0] < alpha < known[1]:
+            return classify_trajectory(alpha, dimension, exponent)
+        return "turns" if alpha <= known[0] else "crosses"
+
     lo = 1.0 + 1e-9
-    if classify_trajectory(lo, dimension, exponent) != "turns":
+    if classify(lo) != "turns":
         raise BracketError("low shooting height fails to turn upward", lo=lo)
     hi = 4.0
-    while classify_trajectory(hi, dimension, exponent) != "crosses":
+    while classify(hi) != "crosses":
         hi *= 2.0
         if hi > 1024.0:
             raise BracketError("no crossing trajectory found", lo=lo, hi=hi)
     while hi - lo > max(tol, 1e-13 * hi):
         mid = 0.5 * (lo + hi)
-        if classify_trajectory(mid, dimension, exponent) == "crosses":
+        if classify(mid) == "crosses":
             hi = mid
         else:
             lo = mid
@@ -350,7 +409,7 @@ def solve_ground_state(dimension: int, exponent: float, tol: float = 1e-10,
     if s_max < 10.0:
         raise ValidationError("s_max below 10 decay lengths cannot anchor the tail")
 
-    lo, hi = _bisect_alpha(dimension, exponent, max(tol, 1e-13))
+    lo, hi = _bisect_alpha(dimension, exponent, max(tol, 1e-13), s_max)
     alpha = 0.5 * (lo + hi)
 
     # Trace the best trajectory out to where it still tracks the separatrix,

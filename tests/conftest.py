@@ -35,6 +35,11 @@ def profile2d():
 
 
 @pytest.fixture(scope="session")
+def profile3d():
+    return solve_ground_state(3, 3.0)
+
+
+@pytest.fixture(scope="session")
 def potential():
     return PotentialSpec(a=1.0, m=2.0)
 

@@ -8,9 +8,11 @@ collocation stages.
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from multibump import (
+    ConvergenceError,
     PotentialSpec,
     RadialProfile,
     ValidationError,
@@ -18,7 +20,8 @@ from multibump import (
     radial_integral,
     solve_ground_state,
 )
-from multibump.groundstate import classify_trajectory
+from multibump import groundstate
+from multibump.groundstate import _series_start, classify_trajectory
 
 
 def test_line_soliton_matches_sech(profile1d):
@@ -67,6 +70,79 @@ def test_classifier_brackets_the_ground_state():
     # the planar critical amplitude sits near 2.206
     assert classify_trajectory(1.5, 2, 3.0) == "turns"
     assert classify_trajectory(3.0, 2, 3.0) == "crosses"
+
+
+def events_class(alpha, dimension, exponent, s_end=45.0):
+    """The trajectory class as solve_ivp's terminal events give it, with
+    the right-hand side in numpy scalars."""
+
+    def rhs(s, y):
+        u, du = y
+        friction = (dimension - 1) / s * du if s > 0 else 0.0
+        return [du, u - np.sign(u) * np.abs(u) ** exponent - friction]
+
+    def ev_cross(s, y):
+        return y[0]
+
+    ev_cross.terminal = True
+    ev_cross.direction = -1
+
+    def ev_turn(s, y):
+        return y[1]
+
+    ev_turn.terminal = True
+    ev_turn.direction = 1
+
+    s0 = 1e-3
+    y0 = _series_start(alpha, s0, dimension, exponent)
+    sol = solve_ivp(rhs, (s0, s_end), y0, method="RK45",
+                    rtol=1e-10, atol=1e-12, events=(ev_cross, ev_turn))
+    if sol.t_events[0].size:
+        return "crosses"
+    if sol.t_events[1].size:
+        return "turns"
+    u, du = sol.y[:, -1]
+    grow = du + u * (1.0 + (dimension - 1) / (2.0 * s_end))
+    return "turns" if grow > 0 else "crosses"
+
+
+@pytest.mark.parametrize("fixture", ["profile1d", "profile2d", "profile3d"])
+def test_classifier_agrees_with_solve_ivp_events(fixture, request):
+    profile = request.getfixturevalue(fixture)
+    n, p = profile.dimension, profile.exponent
+    heights = [profile.u0 * (1.0 + sign * rel) for rel in (1e-9, 1e-6, 1e-3)
+               for sign in (-1.0, 1.0)]
+    for alpha in heights + [1.5, 3.0]:
+        assert classify_trajectory(alpha, n, p) == events_class(alpha, n, p), alpha
+
+
+@pytest.mark.parametrize("dimension, exponent", [(1, 3.0), (2, 3.0), (2, 5.0)])
+def test_estimate_skips_shootings_and_leaves_the_profile_bit_identical(
+        dimension, exponent, monkeypatch):
+    shots = []
+    shoot = groundstate.classify_trajectory
+    monkeypatch.setattr(groundstate, "classify_trajectory",
+                        lambda *args: shots.append(args) or shoot(*args))
+    fast = solve_ground_state(dimension, exponent)
+    n_fast = len(shots)
+    estimate = groundstate._u0_estimate(dimension, exponent, fast.s_max)
+    assert abs(estimate / fast.u0 - 1.0) <= 1e-9
+    # without the estimate every midpoint is shot
+    monkeypatch.setattr(groundstate, "_u0_estimate", lambda *args: None)
+    shot = solve_ground_state(dimension, exponent)
+    assert n_fast <= 15 < len(shots) - n_fast
+    assert np.array_equal(fast.s, shot.s)
+    assert np.array_equal(fast.values, shot.values)
+    assert np.array_equal(fast.derivatives, shot.derivatives)
+    assert fast.far_field_amplitude == shot.far_field_amplitude
+    assert fast.residual == shot.residual
+
+
+def test_near_critical_solve_ends_in_a_typed_error():
+    # N = 3, p = 4.5 sits close to the critical exponent 5: the final
+    # collocation runs out of mesh nodes and must say so
+    with pytest.raises(ConvergenceError):
+        solve_ground_state(3, 4.5)
 
 
 def test_fixed_step_convergence():
