@@ -32,12 +32,10 @@ from .geometry import (
     AdmissibleInterval,
     BumpConfiguration,
     PotentialSpec,
-    TailBoundReport,
     admissible_radii,
     eval_ansatz,
     eval_z1,
     place_bumps,
-    tail_bound_check,
 )
 from .grid import (
     SectorGrid,
@@ -95,7 +93,6 @@ __all__ = [
     "SectorGrid",
     "StudyRow",
     "StudyTable",
-    "TailBoundReport",
     "ValidationError",
     "admissible_radii",
     "build_aligned_sector_grid",
@@ -123,5 +120,4 @@ __all__ = [
     "solve_correction",
     "solve_ground_state",
     "stiffness_matrix",
-    "tail_bound_check",
 ]

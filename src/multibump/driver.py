@@ -3,7 +3,10 @@
 The pipeline here sits on top of the reduction machinery: evaluate
 F(r) = I(W_r + phi(r)) sample by sample, locate the maximizer over the
 admissible window, polish the best ansatz into a genuine solution of
-the discrete equation, and assemble the k ladder table.
+the discrete equation, and assemble the k ladder table.  The polish is
+the constrained problem once more, solved for the full field: Newton
+at a fixed radius returns the Lyapunov-Schmidt multiplier lambda(r),
+and a secant on lambda finds the radius where it vanishes.
 
 A desk-scale caveat that shapes two functions below: for small k the
 fixed-point iteration only contracts on the outer part of the window
@@ -619,7 +622,7 @@ class CertifiedSolution:
     k : int
     r_k : float
     steps : int
-        Newton steps taken.
+        Factorizations of the Jacobian made by the polish.
     energy : float
         Discrete energy I(u).
     """
@@ -650,55 +653,18 @@ class CertifiedSolution:
         )
 
 
-def _pin_critical_radius(base, r_k, tol):
-    """Refine r_k on one fixed grid so the ansatz sits at the discrete
-    critical radius.
-
-    The reduced curve samples live on per-radius aligned grids, so its
-    argmax is offset from the critical radius of any single mesh by a
-    discretization amount; with a = 0 there is not even a continuum
-    force and the grid anisotropy alone decides where the discrete
-    equilibrium sits. Newton started off the equilibrium has to travel
-    along the soft translation mode and crawls, so a short
-    golden-section pass on the polish grid removes the offset for the
-    cost of a few correction solves (cheap, the Gram solver is
-    shared).
-    """
-    cache = {}
-
-    def probe(r):
-        if r not in cache:
-            try:
-                ctx = build_reduction_context(
-                    base.profile, base.potential, base.k, r,
-                    h=base.h, grid=base.grid, reuse=base,
-                )
-                corr = solve_correction(ctx, tol=tol, validate_window=False)
-                val = energy_functional(ctx.grid, ctx.w_ansatz + corr.phi,
-                                        ctx.gram, ctx.exponent)
-                cache[r] = (val, ctx, corr)
-            except (ContractionError, ConvergenceError, NumericalError,
-                    ValidationError):
-                cache[r] = (-math.inf, None, None)
-        return cache[r][0]
-
-    lo, hi = r_k - 0.2, r_k + 0.2
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = probe(x1), probe(x2)
-    while hi - lo > 1e-3 and (math.isfinite(f1) or math.isfinite(f2)):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = probe(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = probe(x1)
-    best = max(cache, key=lambda r: cache[r][0])
-    if not math.isfinite(cache[best][0]):
-        return None
-    return best, cache[best][1], cache[best][2]
+def _secant_radius(tried, window):
+    """Next radius of a secant on lambda(r) through the (r, lambda) pairs
+    ``tried``, its step clamped to 0.5 and the radius to ``window``."""
+    r, lam = tried[-1]
+    step = 0.01  # the first step only probes the slope
+    if len(tried) > 1:
+        r_old, lam_old = tried[-2]
+        step = -lam * (r - r_old) / (lam - lam_old) if lam != lam_old else 0.0
+    r_new = min(max(r + min(max(step, -0.5), 0.5), window.lower), window.upper)
+    if r_new == r:
+        raise ConvergenceError("secant on the multiplier stalled at r=%.6f" % r)
+    return r_new
 
 
 def polish_and_certify(
@@ -711,37 +677,35 @@ def polish_and_certify(
     h=0.1,
     max_steps=30,
     margin=15.0,
-    pin_radius=True,
 ):
     """Newton-polish W + phi into a certified discrete solution.
 
-    The constraint is dropped entirely: the iteration solves the full
-    discrete system with an assembled Jacobian and a backtracking line
-    search on the residual norm, then certifies residual, positivity,
-    and nonradiality on the bump circle. The stated radius is first
-    refined on the polish grid (see ``pin_radius``); the returned r_k
-    is the refined value, the radius the certified field actually sits
-    at.
+    At a fixed radius r, Newton solves res(u) = lambda q_r with
+    q_r . (u - W_r) = 0, where res(u) = G u - area |u|^(p-1) u and q_r
+    is the correction's constraint density (``ReductionContext._q``).
+    Each step eliminates the border by two solves with a sparse LU of
+    J = G - diag(area p |u|^(p-1)) (Keller 1977), kept while each step
+    at least halves the residual (chord Newton; Kelley 2003).  The
+    multiplier lambda(r) vanishes at a solution of the discrete
+    equation, so for k >= 2 a secant on lambda moves r on the grid
+    aligned at the stated r_k, carrying u - W_r, lambda and the LU from
+    radius to radius; at k = 1 r stays fixed.  Once the full residual
+    is at most ``tol``, positivity and nonradiality on the bump circle
+    are certified.  The returned r_k is the radius the field sits at.
 
     Parameters
     ----------
     profile, potential, k, r_k
-        Problem data; r_k is the ring radius (normally the argmax of
-        the reduced curve).
+        Problem data; r_k is the start radius, normally the argmax of
+        the reduced curve.
     phi : ndarray, optional
-        Correction to start from, one value per sector cell of the
-        aligned grid at r_k; solved on the spot when omitted.
-        Passing one also skips the radius refinement, so the iteration
-        runs at exactly the stated r_k on its aligned grid.
+        Start u = W + phi, one value per sector cell of the aligned grid
+        at r_k; zero when omitted.
     tol : float
         Residual certification tolerance.
     h, max_steps, margin
-        Grid spacing, Newton cap, Dirichlet margin.
-    pin_radius : bool
-        Refine r_k to the critical radius of the fixed polish grid
-        before iterating. Without this the start point is offset along
-        the near-null ring-translation mode and the line search decays
-        into a crawl for larger k.
+        Grid spacing, cap on the LU factorizations and on the radii
+        tried, Dirichlet margin.
 
     Returns
     -------
@@ -752,7 +716,7 @@ def polish_and_certify(
     ValidationError
         When ``phi`` does not hold one value per grid cell.
     ConvergenceError
-        When step damping is exhausted or the cap is hit.
+        When Newton diverges, the secant stalls or a cap is hit.
     NumericalError
         When the converged field is not positive everywhere.
 
@@ -763,139 +727,85 @@ def polish_and_certify(
     force, so the discrete system has no solution near the ansatz and
     residuals below that floor are unreachable (measured at k = 1:
     about 1e-3 at h = 0.3, 4.5e-4 at h = 0.2, 2.6e-4 at h = 0.15).
-    Pick tol at or above the floor for that degenerate case; the
-    iteration then certifies in one or two steps.
+    Pick tol at or above the floor for that degenerate case.
     """
-    ctx = build_reduction_context(profile, potential, k, r_k, h=h, margin=margin)
-    r_used = float(r_k)
-    if phi is None:
-        pinned = None
-        if pin_radius:
-            pinned = _pin_critical_radius(ctx, r_used, min(tol, 1e-8))
-        if pinned is not None:
-            r_used, ctx, corr = pinned
-        else:
-            corr, _ = _solve_with_rescue(ctx, tol=min(tol, 1e-8))
-        phi = corr.phi
-    else:
-        phi = np.asarray(phi, dtype=float).reshape(-1)
-        if phi.size != ctx.grid.n_cells:
-            raise ValidationError(
-                f"phi holds {phi.size} values; the grid at r={r_used} has "
-                f"{ctx.grid.n_cells} cells"
-            )
+    base = build_reduction_context(profile, potential, k, r_k, h=h, margin=margin)
+    grid, gram, p = base.grid, base.gram, base.exponent
+    v = np.zeros(grid.n_cells) if phi is None else np.asarray(phi, dtype=float).reshape(-1)
+    if v.size != grid.n_cells:
+        raise ValidationError(
+            f"phi holds {v.size} values; the grid at r={r_k} has {grid.n_cells} cells"
+        )
+    lu, steps = None, 0
 
-    w = ctx.weights
-    p = ctx.exponent
+    def weak_norm(g):
+        return math.sqrt(2.0 * k * float(np.sum(g * g / base.weights)))
 
-    def residual(u):
-        return pde_residual(ctx.grid, u, ctx.gram, p)
+    def constrained_newton(ctx, v, lam):
+        """(v, lambda) with res(W + v) = lambda q and q . v = 0 at ctx.r."""
+        nonlocal lu, steps
+        q = ctx._q
+        g = pde_residual(grid, ctx.w_ansatz + v, gram, p)[0] - lam * q
+        g_norm = weak_norm(g)
+        while True:
+            if lu is None:
+                if steps >= max_steps:
+                    raise ConvergenceError("newton polish hit the factorization cap",
+                                           iterations=steps, residual=g_norm)
+                jac = gram - sp.diags(base.weights * p * np.abs(ctx.w_ansatz + v) ** (p - 1.0))
+                lu = splu(jac.tocsc())
+                steps += 1
+            x = -lu.solve(g)
+            y = lu.solve(q)
+            dlam = -(q @ v + q @ x) / (q @ y)
+            v = v + x + dlam * y
+            lam += dlam
+            g = pde_residual(grid, ctx.w_ansatz + v, gram, p)[0] - lam * q
+            g_new = weak_norm(g)
+            if not g_new < math.inf:
+                raise ConvergenceError("newton polish diverged at r=%.6f" % ctx.r)
+            if g_new > 0.5 * g_norm:
+                lu = None  # freed before the next splu: one factor alive at a time
+            g_norm = g_new
+            if g_norm <= 0.1 * tol:
+                return v, lam
 
-    def res_norm(u):
-        return residual(u)[1]
-
-    z_soft = ctx.constraint.z_direction
-
-    def slide(u, rn):
-        """Minimize the residual along the bump-translation direction.
-
-        The assembled Jacobian is nearly singular along z = dW/dr (the
-        soft ring mode; exactly singular up to grid pinning once a = 0),
-        so this one scalar minimization does the work Newton cannot:
-        it parks the iterate at the equilibrium of the soft mode.
-        """
-        lo, hi = -0.15, 0.15
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        f1 = res_norm(u + x1 * z_soft)
-        f2 = res_norm(u + x2 * z_soft)
-        for _ in range(24):
-            if f1 < f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = res_norm(u + x1 * z_soft)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = res_norm(u + x2 * z_soft)
-        s, fs = (x1, f1) if f1 < f2 else (x2, f2)
-        return u + s * z_soft if fs < rn else u
-
-    u = ctx.w_ansatz + phi
-    res, rn = residual(u)
-    steps = 0
-    inv_w = sp.diags(1.0 / w)
-    mass = sp.diags(w)
+    ctx, lam, tried = base, 0.0, []
+    _, rn = pde_residual(grid, ctx.w_ansatz + v, gram, p)
     while rn > tol:
-        if steps >= max_steps:
-            raise ConvergenceError(
-                "newton polish did not certify within the step cap",
-                iterations=steps,
-                residual=rn,
-            )
-        jac = (ctx.gram - sp.diags(w * p * np.abs(u) ** (p - 1.0))).tocsr()
-        delta = splu(jac.tocsc()).solve(-res)
-        alpha = 1.0
-        accepted = False
-        while alpha >= 0.25:
-            trial = u + alpha * delta
-            res_trial, rn_trial = residual(trial)
-            if rn_trial < (1.0 - 1e-4 * alpha) * rn:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            # Plain steps are being strangled, which happens when the
-            # linearization has a near-null mode (ring translation, or
-            # plain translation once a = 0 removes the potential).
-            # Damp the system itself instead of the step; the squared
-            # form keeps the shift away from the negative eigenvalue.
-            normal = jac @ inv_w @ jac
-            rhs = -(jac @ (res / w))
-            mu = 1e-4
-            while mu < 1e8:
-                delta = splu((normal + mu * mass).tocsc()).solve(rhs)
-                trial = u + delta
-                res_trial, rn_trial = residual(trial)
-                if rn_trial < rn:
-                    accepted = True
-                    break
-                mu *= 4.0
-        if not accepted:
-            raise ConvergenceError(
-                "newton step damping exhausted before certification",
-                iterations=steps,
-                residual=rn,
-            )
-        u, res, rn = trial, res_trial, rn_trial
-        steps += 1
-        if rn > tol:
-            # A Newton step leaves mostly soft-mode residual behind;
-            # the slide removes it without another factorization.
-            u = slide(u, rn)
-            res, rn = residual(u)
+        if tried:
+            if k == 1 or len(tried) > max_steps:
+                raise ConvergenceError(
+                    "newton polish did not certify at r=%.6f" % ctx.r,
+                    iterations=steps, residual=rn,
+                )
+            slack = admissible_radii(k, potential.m, beta=0.95 * potential.m / (2.0 * math.pi))
+            ctx = build_reduction_context(profile, potential, k,
+                                          _secant_radius(tried, slack),
+                                          h=h, grid=grid, reuse=base)
+        v, lam = constrained_newton(ctx, v, lam)
+        tried.append((ctx.r, lam))
+        _, rn = pde_residual(grid, ctx.w_ansatz + v, gram, p)
 
+    u = ctx.w_ansatz + v
     u_min = float(u.min())
     if u_min <= 0.0:
-        flat_index = int(np.argmin(u))
-        i, j = divmod(flat_index, ctx.grid.n_theta)
+        i, j = divmod(int(np.argmin(u)), grid.n_theta)
         raise NumericalError(
             "certified field is not positive: min %.3e at rho=%.3f theta=%.4f"
-            % (u_min, ctx.grid.rho[i], ctx.grid.theta[j])
+            % (u_min, grid.rho[i], grid.theta[j])
         )
-    ring_index = int(np.argmin(np.abs(ctx.grid.rho - r_used)))
-    ring = u.reshape(ctx.grid.n_rho, ctx.grid.n_theta)[ring_index]
-    nonradiality = float((ring.max() - ring.min()) / ring.max())
+    ring = u.reshape(grid.n_rho, grid.n_theta)[int(np.argmin(np.abs(grid.rho - ctx.r)))]
     return CertifiedSolution(
         u=u,
-        grid=ctx.grid,
+        grid=grid,
         residual_norm=rn,
         min_value=u_min,
-        nonradiality=nonradiality,
-        k=ctx.k,
-        r_k=r_used,
+        nonradiality=float((ring.max() - ring.min()) / ring.max()),
+        k=k,
+        r_k=ctx.r,
         steps=steps,
-        energy=energy_functional(ctx.grid, u, ctx.gram, ctx.exponent),
+        energy=energy_functional(grid, u, gram, p),
     )
 
 

@@ -132,54 +132,3 @@ def eval_z1(config: BumpConfiguration, profile, points) -> np.ndarray:
     cosine = (diff @ (x1 / config.r)) / safe
     out = np.where(dist > 1e-14, -profile.deriv(dist) * cosine, 0.0)
     return out if np.asarray(points).ndim > 1 else float(out[0])
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """Measured constant for the neighbour-tail bound on the first sector.
-
-    The bound is sum_{j>=2} U(|y - x_j|) <= C exp(-eta r pi / k)
-    exp(-(1-eta)|y - x_1|) for y in the sector around x_1; c_bar is the
-    smallest C that works on the sampled points.
-    """
-
-    k: int
-    r: float
-    eta: float
-    c_bar: float
-    worst_point: np.ndarray
-    n_samples: int
-
-    @property
-    def finite(self) -> bool:
-        return bool(np.isfinite(self.c_bar))
-
-
-def tail_bound_check(config: BumpConfiguration, profile, eta: float,
-                     samples) -> TailBoundReport:
-    """Measure the tail-bound constant on sample points in the first sector.
-
-    Samples must lie in the angular sector |angle(y)| <= pi/k around the
-    first center (the origin counts as boundary).
-    """
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta must lie in (0, 1), got {eta}")
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    norms = np.linalg.norm(pts, axis=-1)
-    x1_hat = config.centers[0] / config.r
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosines = np.where(norms > 0, (pts @ x1_hat) / np.where(norms > 0, norms, 1.0), 1.0)
-    if np.any(cosines < np.cos(np.pi / config.k) - 1e-12):
-        raise ValidationError("sample points must lie in the first angular sector")
-
-    tail = np.zeros(pts.shape[0])
-    for center in config.centers[1:]:
-        tail += profile(np.linalg.norm(pts - center, axis=-1))
-    d1 = np.linalg.norm(pts - config.centers[0], axis=-1)
-    bound = np.exp(-eta * config.r * np.pi / config.k) * np.exp(-(1.0 - eta) * d1)
-    ratios = tail / bound
-    worst = int(np.argmax(ratios)) if ratios.size else 0
-    c_bar = float(ratios[worst]) if ratios.size else 0.0
-    return TailBoundReport(k=config.k, r=config.r, eta=eta, c_bar=c_bar,
-                           worst_point=pts[worst] if ratios.size else np.zeros(2),
-                           n_samples=pts.shape[0])

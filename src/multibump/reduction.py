@@ -96,9 +96,8 @@ class ReductionContext:
         Distance kept between the ring and the outer Dirichlet wall.
     grid : SectorGrid, optional
         Reuse a prebuilt grid instead of aligning a new one to r. Lets
-        nearby radii be compared on an identical mesh, which is what a
-        certification pass needs when it pins down the discrete
-        critical radius before polishing.
+        nearby radii be compared on an identical mesh, which is what the
+        polish needs when its secant moves the ring across one grid.
     reuse : ReductionContext, optional
         Another context on the same grid and potential; its cell
         weights, potential values, assembled Gram matrix and Gram

@@ -206,9 +206,7 @@ def test_09_free_single_bump_short_circuits(profile2d, free_potential, constants
     for v in values:
         assert abs(v - constants2d.A) <= 5e-2
     assert max(values) - min(values) <= 1e-2
-    cert = polish_and_certify(
-        profile2d, free_potential, 1, 10.0, tol=1e-3, h=0.2, pin_radius=False
-    )
+    cert = polish_and_certify(profile2d, free_potential, 1, 10.0, tol=1e-3, h=0.2)
     assert cert.steps <= 2
     assert cert.residual_norm <= 1e-3
     assert cert.min_value > 0.0

@@ -10,7 +10,6 @@ from multibump import (
     eval_ansatz,
     eval_z1,
     place_bumps,
-    tail_bound_check,
 )
 
 
@@ -116,25 +115,3 @@ def test_ring_derivative_direction(profile2d):
 def test_ring_derivative_center_is_zero(profile2d):
     config = place_bumps(6, 9.0)
     assert eval_z1(config, profile2d, config.centers[0]) == 0.0
-
-
-def test_tail_bound_constant(profile2d):
-    config = place_bumps(6, 7.0)
-    rng = np.random.default_rng(11)
-    # sample the first angular sector only
-    radii = rng.uniform(0.5, 12.0, size=200)
-    angles = rng.uniform(-np.pi / 6.0, np.pi / 6.0, size=200)
-    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    rep = tail_bound_check(config, profile2d, 0.5, pts)
-    assert rep.finite
-    assert rep.c_bar > 0.0
-    assert rep.n_samples == 200
-
-
-def test_tail_bound_validation(profile2d):
-    config = place_bumps(6, 7.0)
-    with pytest.raises(ValidationError):
-        tail_bound_check(config, profile2d, 1.5, [[5.0, 0.0]])
-    with pytest.raises(ValidationError):
-        # point in the opposite half plane
-        tail_bound_check(config, profile2d, 0.5, [[-5.0, 0.0]])
