@@ -291,7 +291,9 @@ class ReducedEnergyCurve:
         the asymptotic regime, populated at desk scale for small k
         near the lower window edge.
     r_max, f_max : float
-        Argmax after golden-section refinement and its value.
+        Argmax after golden-section refinement and its value; a window
+        end whose inward neighbour at the refinement tolerance is lower
+        is kept as it is, unrefined.
     interior : bool
         True when the argmax keeps at least one coarse step away
         from both window endpoints.
@@ -396,8 +398,13 @@ def maximize_reduced_energy(
 
     Coarse scan with ``n_samples`` points, then golden-section
     refinement around the best sample to |delta r| <= refine_frac
-    times the window length.  A boundary argmax is reported through
-    the interiority flag rather than raised.
+    times the window length (refine_tol).  When the best sample is a
+    window end, F is first evaluated once refine_tol inside it; if that
+    value is strictly lower, F (unimodal, as the golden section already
+    assumes) peaks within refine_tol of the end, which is kept as the
+    argmax without refinement, so a clamped curve costs n_samples + 1
+    evaluations.  A boundary argmax is reported through the interiority
+    flag rather than raised.
 
     Parameters
     ----------
@@ -452,11 +459,15 @@ def maximize_reduced_energy(
     lo = rs[max(i_best - 1, 0)]
     hi = rs[min(i_best + 1, n_samples - 1)]
     refine_tol = refine_frac * (window.upper - window.lower)
-    r_ref, f_ref = _golden_max(guarded, lo, hi, refine_tol)
-    if f_ref >= vals[i_best]:
-        r_max, f_max = r_ref, f_ref
-    else:
-        r_max, f_max = float(rs[i_best]), float(vals[i_best])
+    r_max, f_max = float(rs[i_best]), float(vals[i_best])
+    # An end sample with F lower one refine_tol inside it: a unimodal F
+    # peaks within refine_tol of the end, so the golden section is skipped.
+    at_end = i_best in (0, n_samples - 1)
+    inward = r_max + refine_tol if i_best == 0 else r_max - refine_tol
+    if not (at_end and guarded(inward) < f_max):
+        r_ref, f_ref = _golden_max(guarded, lo, hi, refine_tol)
+        if f_ref >= f_max:
+            r_max, f_max = r_ref, f_ref
 
     step = (window.upper - window.lower) / (n_samples - 1)
     interior = (
@@ -625,6 +636,11 @@ class CertifiedSolution:
         Factorizations of the Jacobian made by the polish.
     energy : float
         Discrete energy I(u).
+    multiplier : float
+        The Lyapunov-Schmidt multiplier lambda at r_k, from the last
+        constrained Newton solve (0 when no solve ran): the weak
+        residual of u is lambda q_r up to a tenth of the tolerance, so
+        |lambda| |q_r| is at most 1.1 times the certification tolerance.
     """
 
     u: np.ndarray
@@ -636,6 +652,7 @@ class CertifiedSolution:
     r_k: float
     steps: int
     energy: float
+    multiplier: float
 
     def to_json(self):
         return json.dumps(
@@ -647,6 +664,7 @@ class CertifiedSolution:
                 "nonradiality": self.nonradiality,
                 "steps": self.steps,
                 "energy": self.energy,
+                "multiplier": self.multiplier,
             },
             indent=2,
             sort_keys=True,
@@ -683,15 +701,17 @@ def polish_and_certify(
     At a fixed radius r, Newton solves res(u) = lambda q_r with
     q_r . (u - W_r) = 0, where res(u) = G u - area |u|^(p-1) u and q_r
     is the correction's constraint density (``ReductionContext._q``).
-    Each step eliminates the border by two solves with a sparse LU of
+    Each step eliminates the border by solves with a sparse LU of
     J = G - diag(area p |u|^(p-1)) (Keller 1977), kept while each step
-    at least halves the residual (chord Newton; Kelley 2003).  The
-    multiplier lambda(r) vanishes at a solution of the discrete
+    at least halves the residual (chord Newton; Kelley 2003): one solve
+    for the residual per step, one for J^-1 q_r per factor and radius.
+    The multiplier lambda(r) vanishes at a solution of the discrete
     equation, so for k >= 2 a secant on lambda moves r on the grid
     aligned at the stated r_k, carrying u - W_r, lambda and the LU from
     radius to radius; at k = 1 r stays fixed.  Once the full residual
     is at most ``tol``, positivity and nonradiality on the bump circle
-    are certified.  The returned r_k is the radius the field sits at.
+    are certified.  The returned r_k is the radius the field sits at,
+    and its multiplier the last lambda found there.
 
     Parameters
     ----------
@@ -745,6 +765,7 @@ def polish_and_certify(
         """(v, lambda) with res(W + v) = lambda q and q . v = 0 at ctx.r."""
         nonlocal lu, steps
         q = ctx._q
+        y = None  # J^-1 q, fixed while the factor and the radius are
         g = pde_residual(grid, ctx.w_ansatz + v, gram, p)[0] - lam * q
         g_norm = weak_norm(g)
         while True:
@@ -755,8 +776,10 @@ def polish_and_certify(
                 jac = gram - sp.diags(base.weights * p * np.abs(ctx.w_ansatz + v) ** (p - 1.0))
                 lu = splu(jac.tocsc())
                 steps += 1
+                y = None
             x = -lu.solve(g)
-            y = lu.solve(q)
+            if y is None:
+                y = lu.solve(q)
             dlam = -(q @ v + q @ x) / (q @ y)
             v = v + x + dlam * y
             lam += dlam
@@ -806,6 +829,7 @@ def polish_and_certify(
         r_k=ctx.r,
         steps=steps,
         energy=energy_functional(grid, u, gram, p),
+        multiplier=float(lam),
     )
 
 
@@ -960,8 +984,9 @@ def scaling_study(
         Window, grid, scan, probe-seed, correction and Dirichlet-margin
         parameters.
     jobs : int
-        Worker processes; rows are computed independently and merged
-        by k, so the output is identical for any job count.
+        Worker processes, at most one per row; a single row runs in
+        this process.  Rows are computed independently and merged by
+        k, so the output is identical for any job count.
     radius_k1 : float
         Ring radius of the k = 1 row.
     curves : mapping of int to ReducedEnergyCurve, optional
@@ -990,8 +1015,9 @@ def scaling_study(
          constants, law, margin, radius_k1)
         for k in ks
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_study_row_remote, args))
     else:
         rows = [_study_row(*a) for a in args]

@@ -60,6 +60,41 @@ def test_formula_mode_without_interaction_hugs_the_lower_edge(potential):
     assert curve.r_max - curve.lower <= 0.01 * (curve.upper - curve.lower)
 
 
+def _counted(f, calls):
+    def counted(r):
+        calls.append(r)
+        return f(r)
+    return counted
+
+
+@pytest.mark.parametrize("sign, edge", [(1.0, "upper"), (-1.0, "lower")])
+def test_a_clamped_end_costs_one_inward_sample(potential, sign, edge):
+    """F falls one refinement tolerance inside the best end sample: that
+    end is the argmax, found with one evaluation past the scan."""
+    k = 8
+    calls = []
+    curve = maximize_reduced_energy(None, potential, k, n_samples=11,
+                                    evaluator=_counted(lambda r: sign * r, calls))
+    assert len(calls) == 12
+    assert curve.r_max == getattr(curve, edge)
+    assert curve.f_max == sign * getattr(curve, edge)
+    assert not curve.interior
+
+
+def test_a_peak_inside_the_last_step_is_still_refined(potential):
+    k = 8
+    window = admissible_radii(k, potential.m, beta=0.1)
+    step = window.width / 10
+    r_star = window.upper - 0.3 * step
+    calls = []
+    curve = maximize_reduced_energy(
+        None, potential, k, n_samples=11,
+        evaluator=_counted(lambda r: -(r - r_star) ** 2, calls),
+    )
+    assert len(calls) > 12  # the golden section ran
+    assert abs(curve.r_max - r_star) <= 1e-3 * window.width
+
+
 def test_failed_scan_radii_are_reported(potential):
     k = 8
     window = admissible_radii(k, potential.m, beta=0.1)
@@ -311,8 +346,8 @@ def test_study_ladder_structure(study_table, tmp_path):
 
 def test_study_parallel_rows_match_serial(profile2d, potential, constants2d, law2d):
     kwargs = dict(constants=constants2d, law=law2d, h=0.25, n_samples=9)
-    serial = scaling_study(profile2d, potential, (6,), jobs=1, **kwargs)
-    parallel = scaling_study(profile2d, potential, (6,), jobs=2, **kwargs)
+    serial = scaling_study(profile2d, potential, (6, 8), jobs=1, **kwargs)
+    parallel = scaling_study(profile2d, potential, (6, 8), jobs=2, **kwargs)
     assert serial.rows == parallel.rows
 
 
@@ -362,6 +397,22 @@ def test_certified_solution_satisfies_the_nehari_identity(profile2d, potential, 
     power = 2.0 * grid.k * float(np.sum(areas * np.abs(u) ** (p + 1.0)))
     u_l2 = math.sqrt(2.0 * grid.k * float(np.sum(areas * u * u)))
     assert abs(quad - power) <= u_l2 * cert6.residual_norm
+
+
+def test_certificate_multiplier_is_bounded_by_the_tolerance(profile2d, potential, cert6):
+    """The weak residual of u is lambda q up to 0.1 tol and its norm is at
+    most tol, so |lambda| |q| <= 1.1 tol (weak norms on cert6's grid)."""
+    grid, tol = cert6.grid, 1e-8
+    ctx = build_reduction_context(profile2d, potential, 6, cert6.r_k, h=0.15, grid=grid)
+    areas = grid.cell_areas().reshape(-1)
+
+    def weak_norm(g):
+        return math.sqrt(2.0 * grid.k * float(np.sum(g * g / areas)))
+
+    res, _ = pde_residual(grid, cert6.u, gram_matrix(grid, potential), profile2d.exponent)
+    assert cert6.multiplier != 0.0
+    assert weak_norm(res - cert6.multiplier * ctx._q) <= 0.1 * tol
+    assert abs(cert6.multiplier) * weak_norm(ctx._q) <= 1.1 * tol
 
 
 @pytest.mark.parametrize("k, r_start, r_expected", [(8, 9.60, 9.2338), (12, 15.89, 15.5721)])
@@ -437,3 +488,4 @@ def test_certificate_json(cert6):
     assert data["k"] == 6
     assert data["steps"] == cert6.steps
     assert data["residual_norm"] == cert6.residual_norm
+    assert data["multiplier"] == cert6.multiplier
