@@ -450,19 +450,18 @@ def _stage_certify(inputs, out_dir):
     artifacts = []
     for k in cfg.k_values:
         if k < 2:
-            r_start = cfg.radius_k1
-        else:
-            curve = extend_past_edge(
-                inputs.curve(k),
-                inputs.profile,
-                inputs.potential,
-                constants=inputs.constants,
-                law=inputs.law,
-                h=cfg.grid_step,
-                tol=cfg.correction_tol_h1v,
-                margin=cfg.wall_margin,
-            )
-            r_start = curve.r_max
+            # One bump off the origin is no solution: A + B1/r^m falls with r.
+            continue
+        r_start = extend_past_edge(
+            inputs.curve(k),
+            inputs.profile,
+            inputs.potential,
+            constants=inputs.constants,
+            law=inputs.law,
+            h=cfg.grid_step,
+            tol=cfg.correction_tol_h1v,
+            margin=cfg.wall_margin,
+        ).r_max
         cert = polish_and_certify(
             inputs.profile,
             inputs.potential,
@@ -499,7 +498,7 @@ def _stage_report(cfg, out_dir):
     needed = ["constants.json", "interaction.json", "expansion.csv", "scaling.csv"]
     ks = [k for k in cfg.k_values if k >= 2]
     needed += [f"f_curve_k{k}.csv" for k in ks]
-    needed += [f"certificate_k{k}.json" for k in cfg.k_values]
+    needed += [f"certificate_k{k}.json" for k in ks]
     for name in needed:
         if not os.path.exists(os.path.join(out_dir, name)):
             raise ValidationError(
@@ -511,7 +510,7 @@ def _stage_report(cfg, out_dir):
     with open(os.path.join(out_dir, "interaction.json")) as fh:
         law = json.load(fh)
     certs = {}
-    for k in cfg.k_values:
+    for k in ks:
         with open(os.path.join(out_dir, f"certificate_k{k}.json")) as fh:
             certs[k] = json.load(fh)
 
@@ -582,7 +581,7 @@ def _stage_report(cfg, out_dir):
     lines.append("## Certificates\n")
     lines.append("| k | radius | residual | steps | min u | nonradiality |")
     lines.append("|---|--------|----------|-------|-------|--------------|")
-    for k in cfg.k_values:
+    for k in ks:
         c = certs[k]
         lines.append(
             f"| {k} | {c['r_k']:.4f} | {c['residual_norm']:.2e} | {c['steps']} "

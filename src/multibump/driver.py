@@ -27,8 +27,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ContractionError, ConvergenceError, NumericalError, ValidationError
-from .geometry import admissible_radii
-from .grid import energy_functional, pde_residual
+from .geometry import admissible_radii, correction_window
+from .grid import energy_functional, pde_residual, weak_norm
 # Unused here; bench/layers.py still patches driver.stiffness_matrix.
 # ROADMAP item 7 (counters inside the package) removes the import.
 from .grid import stiffness_matrix  # noqa: F401
@@ -60,15 +60,25 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _fit_default_law(profile):
-    ds = np.arange(8.0, 16.0 + 1e-9, 2.0)
-    return fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
+def _fill_defaults(profile, potential, constants, law, need_law):
+    """(constants, law) with the omitted ones computed: A and B1 from the
+    profile, and, where ``need_law``, the pair law fitted on d in [8, 16]."""
+    if constants is None:
+        constants = expansion_constants(profile, potential)
+    if law is None and need_law:
+        ds = np.arange(8.0, 16.0 + 1e-9, 2.0)
+        law = fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
+    return constants, law
 
 
 # A correction is only meaningful while it stays perturbative; past this
 # fraction of the ansatz norm the constrained critical point belongs to a
 # different branch and its energy must not enter the reduced curve.
 _PERTURBATIVE_FRACTION = 0.25
+
+
+def _cap(ctx):
+    return _PERTURBATIVE_FRACTION * ctx.norm(ctx.w_ansatz)
 
 
 def _beyond_cap(norm, cap, r):
@@ -98,7 +108,7 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40):
     phi = np.zeros_like(l_flat)
     wb = ctx.w_ansatz
     p = ctx.exponent
-    cap = _PERTURBATIVE_FRACTION * ctx.norm(wb)
+    cap = _cap(ctx)
 
     def grad(v):
         u = wb + v
@@ -175,23 +185,21 @@ def _newton_correction(ctx, tol=1e-8, max_outer=40):
     )
 
 
-def _solve_with_rescue(ctx, tol=1e-8, rescue=True):
+def _solve_with_rescue(ctx, tol=1e-8):
     """Correction by contraction, falling back to damped Newton.
 
     Returns (CorrectionResult, method) where method is "picard" or
-    "newton".  Without rescue the contraction failure propagates.
-    Either way the result must be perturbative: deep in the overlap
-    region the damped Newton can converge to a critical point with
-    phi comparable to W itself, and treating that as "the correction"
-    would poison the reduced energy with another branch's value.
+    "newton".  Either way the result must be perturbative: deep in the
+    overlap region the damped Newton can converge to a critical point
+    with phi comparable to W itself, and treating that as "the
+    correction" would poison the reduced energy with another branch's
+    value.
     """
     try:
         corr, method = solve_correction(ctx, tol=tol), "picard"
     except (ContractionError, ConvergenceError):
-        if not rescue:
-            raise
         corr, method = _newton_correction(ctx, tol=tol), "newton"
-    cap = _PERTURBATIVE_FRACTION * ctx.norm(ctx.w_ansatz)
+    cap = _cap(ctx)
     if corr.norm > cap:
         raise _beyond_cap(corr.norm, cap, ctx.r)
     return corr, method
@@ -228,10 +236,12 @@ def reduced_energy(
     law=None,
     h=0.1,
     tol=1e-8,
-    rescue=True,
     margin=15.0,
 ):
     """Evaluate F(r) together with its asymptotic prediction.
+
+    Where the contraction fails, the damped-Newton rescue
+    (``_newton_correction``) takes over.
 
     Parameters
     ----------
@@ -248,22 +258,14 @@ def reduced_energy(
         and k >= 2.
     h, tol, margin
         Grid spacing, correction tolerance, Dirichlet margin.
-    rescue : bool
-        Allow the damped-Newton fallback when contraction fails; its
-        steps are solved inexactly, to a forcing term that tightens as
-        the projected gradient g shrinks, with one Gram solve per g,
-        and a refusal (past the cap, or stagnant) is raised early.
 
     Returns
     -------
     ReducedEnergyResult
     """
-    if constants is None:
-        constants = expansion_constants(profile, potential)
-    if law is None and k >= 2:
-        law = _fit_default_law(profile)
+    constants, law = _fill_defaults(profile, potential, constants, law, k >= 2)
     ctx = build_reduction_context(profile, potential, k, r, h=h, margin=margin)
-    corr, method = _solve_with_rescue(ctx, tol=tol, rescue=rescue)
+    corr, method = _solve_with_rescue(ctx, tol=tol)
     return ReducedEnergyResult(
         value=energy_functional(ctx.grid, ctx.w_ansatz + corr.phi, ctx.gram,
                                 ctx.exponent),
@@ -439,10 +441,7 @@ def maximize_reduced_energy(
     window = admissible_radii(k, potential.m, beta=beta)
     formula_mode = evaluator is not None
     if not formula_mode:
-        if constants is None:
-            constants = expansion_constants(profile, potential)
-        if law is None:
-            law = _fit_default_law(profile)
+        constants, law = _fill_defaults(profile, potential, constants, law, k >= 2)
     methods = []
     guarded = _guarded_evaluator(profile, potential, k, constants, law, h, tol,
                                  margin, evaluator, methods)
@@ -469,25 +468,15 @@ def maximize_reduced_energy(
         if f_ref >= f_max:
             r_max, f_max = r_ref, f_ref
 
-    step = (window.upper - window.lower) / (n_samples - 1)
-    interior = (
-        r_max - window.lower >= step - 1e-12
-        and window.upper - r_max >= step - 1e-12
-    )
-    curve = ReducedEnergyCurve(
-        k=k,
+    curve = _curve(
+        k, window.lower, window.upper, (window.upper - window.lower) / (n_samples - 1),
         radii=rs[ok],
         values=vals[ok],
         asymptotics=_asymptotics(k, rs[ok], constants, law, potential.m, formula_mode),
         methods=("formula",) * int(ok.sum()) if formula_mode else scan_methods,
         failed_radii=tuple(float(r) for r in rs[~ok]),
-        r_max=float(r_max),
-        f_max=float(f_max),
-        interior=bool(interior),
-        normalized=float(r_max / (k * math.log(k))),
-        lower=window.lower,
-        upper=window.upper,
-        extended=False,
+        r_max=r_max,
+        f_max=f_max,
     )
     if extend_on_boundary:
         curve = extend_past_edge(
@@ -495,6 +484,25 @@ def maximize_reduced_energy(
             refine_frac=refine_frac, evaluator=evaluator, margin=margin,
         )
     return curve
+
+
+def _curve(k, lower, upper, step, r_max, f_max, **samples):
+    """ReducedEnergyCurve on the window [lower, upper] scanned at ``step``.
+
+    The argmax is interior when it keeps at least one step from both
+    window ends and extended when it lies past the upper end.
+    """
+    return ReducedEnergyCurve(
+        k=k,
+        r_max=float(r_max),
+        f_max=float(f_max),
+        interior=bool(r_max - lower >= step - 1e-12 and upper - r_max >= step - 1e-12),
+        normalized=float(r_max / (k * math.log(k))),
+        lower=lower,
+        upper=upper,
+        extended=bool(r_max > upper + 1e-12),
+        **samples,
+    )
 
 
 def _asymptotics(k, radii, constants, law, m, formula_mode):
@@ -559,15 +567,12 @@ def extend_past_edge(
         return curve
     formula_mode = evaluator is not None
     if not formula_mode:
-        if constants is None:
-            constants = expansion_constants(profile, potential)
-        if law is None:
-            law = _fit_default_law(profile)
+        constants, law = _fill_defaults(profile, potential, constants, law, k >= 2)
     methods = []
     guarded = _guarded_evaluator(profile, potential, k, constants, law, h, tol,
                                  margin, evaluator, methods)
 
-    slack = admissible_radii(k, potential.m, beta=0.95 * potential.m / (2.0 * math.pi))
+    slack = correction_window(k, potential.m)
     edge_ok = curve.radii.size and curve.radii[-1] == upper
     r_prev = upper - step
     r_cur = upper
@@ -592,9 +597,8 @@ def extend_past_edge(
             r_max, f_max = r_cur, f_cur
         if f_ref >= f_max:
             r_max, f_max = r_ref, f_ref
-    interior = r_max - lower >= step - 1e-12 and upper - r_max >= step - 1e-12
-    return ReducedEnergyCurve(
-        k=k,
+    return _curve(
+        k, lower, upper, step, r_max, f_max,
         radii=np.concatenate([curve.radii, ext_rs]),
         values=np.concatenate([curve.values, ext_fs]),
         asymptotics=np.concatenate([
@@ -603,13 +607,6 @@ def extend_past_edge(
         ]),
         methods=curve.methods + tuple(ext_methods),
         failed_radii=curve.failed_radii,
-        r_max=float(r_max),
-        f_max=float(f_max),
-        interior=bool(interior),
-        normalized=float(r_max / (k * math.log(k))),
-        lower=lower,
-        upper=upper,
-        extended=bool(r_max > upper + 1e-12),
     )
 
 
@@ -758,16 +755,13 @@ def polish_and_certify(
         )
     lu, steps = None, 0
 
-    def weak_norm(g):
-        return math.sqrt(2.0 * k * float(np.sum(g * g / base.weights)))
-
     def constrained_newton(ctx, v, lam):
         """(v, lambda) with res(W + v) = lambda q and q . v = 0 at ctx.r."""
         nonlocal lu, steps
         q = ctx._q
         y = None  # J^-1 q, fixed while the factor and the radius are
         g = pde_residual(grid, ctx.w_ansatz + v, gram, p)[0] - lam * q
-        g_norm = weak_norm(g)
+        g_norm = weak_norm(grid, g)
         while True:
             if lu is None:
                 if steps >= max_steps:
@@ -784,7 +778,7 @@ def polish_and_certify(
             v = v + x + dlam * y
             lam += dlam
             g = pde_residual(grid, ctx.w_ansatz + v, gram, p)[0] - lam * q
-            g_new = weak_norm(g)
+            g_new = weak_norm(grid, g)
             if not g_new < math.inf:
                 raise ConvergenceError("newton polish diverged at r=%.6f" % ctx.r)
             if g_new > 0.5 * g_norm:
@@ -802,10 +796,9 @@ def polish_and_certify(
                     "newton polish did not certify at r=%.6f" % ctx.r,
                     iterations=steps, residual=rn,
                 )
-            slack = admissible_radii(k, potential.m, beta=0.95 * potential.m / (2.0 * math.pi))
-            ctx = build_reduction_context(profile, potential, k,
-                                          _secant_radius(tried, slack),
-                                          h=h, grid=grid, reuse=base)
+            r_next = _secant_radius(tried, correction_window(k, potential.m))
+            ctx = build_reduction_context(profile, potential, k, r_next, h=h, grid=grid,
+                                          reuse=base)
         v, lam = constrained_newton(ctx, v, lam)
         tried.append((ctx.r, lam))
         _, rn = pde_residual(grid, ctx.w_ansatz + v, gram, p)
@@ -900,26 +893,11 @@ class StudyTable:
 
 def _study_row(profile, potential, k, curve, beta, h, n_samples, seed, tol,
                constants, law, margin, radius_k1):
-    """One study row; ``curve`` is the in-window curve of k, or None to search."""
-    if k == 1:
-        ctx = build_reduction_context(profile, potential, 1, radius_k1, h=h,
-                                      margin=margin)
-        corr, _ = _solve_with_rescue(ctx, tol=tol)
-        rep = riesz_lk(ctx)
-        rho = coercivity_probe(ctx, seed=seed)
-        f_val = energy_functional(ctx.grid, ctx.w_ansatz + corr.phi, ctx.gram,
-                                  ctx.exponent)
-        return StudyRow(
-            k=1,
-            r_k=radius_k1,
-            normalized=math.nan,
-            phi_norm=corr.norm,
-            l_norm=rep.norm,
-            rho_hat=rho,
-            f_over_k=f_val,
-            interior=True,
-        )
-    if curve is None:
+    """One study row; ``curve`` is the in-window curve of k, or None to search.
+
+    The k = 1 row sits at ``radius_k1``, and its F is the energy there.
+    """
+    if k >= 2 and curve is None:
         curve = maximize_reduced_energy(
             profile,
             potential,
@@ -932,19 +910,20 @@ def _study_row(profile, potential, k, curve, beta, h, n_samples, seed, tol,
             tol=tol,
             margin=margin,
         )
-    ctx = build_reduction_context(profile, potential, k, curve.r_max, h=h, margin=margin)
+    single = k == 1
+    r = radius_k1 if single else curve.r_max
+    ctx = build_reduction_context(profile, potential, k, r, h=h, margin=margin)
     corr, _ = _solve_with_rescue(ctx, tol=tol)
-    rep = riesz_lk(ctx)
-    rho = coercivity_probe(ctx, seed=seed)
     return StudyRow(
         k=k,
-        r_k=curve.r_max,
-        normalized=curve.normalized,
+        r_k=ctx.r,
+        normalized=math.nan if single else curve.normalized,
         phi_norm=corr.norm,
-        l_norm=rep.norm,
-        rho_hat=rho,
-        f_over_k=curve.f_max / k,
-        interior=curve.interior,
+        l_norm=riesz_lk(ctx).norm,
+        rho_hat=coercivity_probe(ctx, seed=seed),
+        f_over_k=(energy_functional(ctx.grid, ctx.w_ansatz + corr.phi, ctx.gram,
+                                    ctx.exponent) if single else curve.f_max / k),
+        interior=single or curve.interior,
     )
 
 
@@ -1006,10 +985,8 @@ def scaling_study(
         if curve.k != k:
             raise ValidationError(f"curve for k={curve.k} supplied under k={k}")
         _require_in_window(curve)
-    if constants is None:
-        constants = expansion_constants(profile, potential)
-    if law is None and any(k >= 2 for k in ks):
-        law = _fit_default_law(profile)
+    constants, law = _fill_defaults(profile, potential, constants, law,
+                                    any(k >= 2 for k in ks))
     args = [
         (profile, potential, k, curves.get(k), beta, h, n_samples, seed, tol,
          constants, law, margin, radius_k1)

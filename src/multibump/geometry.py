@@ -109,26 +109,38 @@ def place_bumps(k: int, r: float) -> BumpConfiguration:
     return BumpConfiguration(k=k, r=float(r), centers=centers)
 
 
+def correction_window(k: int, m: float) -> AdmissibleInterval:
+    """The widest window, beta = 0.95 m/2pi: the correction accepts radii
+    in it, and the continuation past the edge and the polish stay in it."""
+    return admissible_radii(k, m, beta=0.95 * m / (2.0 * np.pi))
+
+
+def bump_terms(config: BumpConfiguration, profile, points):
+    """Yield (U_j, Z_j) at points (n, 2) for each bump j of the ring.
+
+    U_j = U(|y - x_j|) and Z_j = dU_j/dr = -U'(|y - x_j|)
+    <(y - x_j)/|y - x_j|, x_j/r>, both from one ``profile.evaluate``
+    lookup; the removable 0/0 at a center evaluates to 0 since U'(0) = 0.
+    W_r is the sum of the U_j and Z = dW_r/dr the sum of the Z_j.
+    """
+    for c in config.centers:
+        diff = points - c
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        u_j, du_j = profile.evaluate(dist)
+        safe = np.where(dist > 1e-14, dist, 1.0)
+        cosine = (diff @ (c / config.r)) / safe
+        yield u_j, np.where(dist > 1e-14, -du_j * cosine, 0.0)
+
+
 def eval_ansatz(config: BumpConfiguration, profile, points) -> np.ndarray:
     """W_r = sum of profile copies at the bump centers, at points (..., 2)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    total = np.zeros(pts.shape[0])
-    for center in config.centers:
-        total += profile(np.linalg.norm(pts - center, axis=-1))
+    total = sum(u_j for u_j, _ in bump_terms(config, profile, pts))
     return total if np.asarray(points).ndim > 1 else float(total[0])
 
 
 def eval_z1(config: BumpConfiguration, profile, points) -> np.ndarray:
-    """Derivative of the first bump with respect to the ring radius.
-
-    Z_1(y) = -U'(|y - x_1|) <(y - x_1)/|y - x_1|, x_1/r>; the removable
-    0/0 at the center itself evaluates to 0 since U'(0) = 0.
-    """
+    """Z_1, the derivative of the first bump with respect to the ring radius."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x1 = config.centers[0]
-    diff = pts - x1
-    dist = np.linalg.norm(diff, axis=-1)
-    safe = np.where(dist > 1e-14, dist, 1.0)
-    cosine = (diff @ (x1 / config.r)) / safe
-    out = np.where(dist > 1e-14, -profile.deriv(dist) * cosine, 0.0)
+    _, out = next(bump_terms(config, profile, pts))
     return out if np.asarray(points).ndim > 1 else float(out[0])

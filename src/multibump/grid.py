@@ -50,6 +50,7 @@ __all__ = [
     "gram_solver",
     "energy_functional",
     "pde_residual",
+    "weak_norm",
 ]
 
 
@@ -361,16 +362,21 @@ def energy_functional(grid, u, gram, exponent):
 def pde_residual(grid, u, gram, exponent):
     """Weak-form residual G u - area |u|^{p-1} u and its L2 norm.
 
-    Divided by the cell areas the residual is the strong form
-    -Lap u + V u - |u|^{p-1} u at the cell centers, so the returned
-    norm sqrt(2k sum res^2 / area) is its full-plane L2 norm.
-
     Returns
     -------
     residual : ndarray
         Flat array over the cells of ``grid``.
     norm : float
+        ``weak_norm`` of the residual.
     """
     areas = grid.cell_areas().reshape(-1)
     res = gram @ u - areas * (np.abs(u) ** (exponent - 1.0) * u)
-    return res, float(np.sqrt(2.0 * grid.k * float(np.sum(res * res / areas))))
+    return res, weak_norm(grid, res)
+
+
+def weak_norm(grid, res):
+    """sqrt(2k sum res^2 / area): divided by the cell areas, a weak-form
+    residual such as G u - area |u|^{p-1} u is the strong form at the cell
+    centers, and this is its full-plane L2 norm."""
+    areas = grid.cell_areas().reshape(-1)
+    return float(np.sqrt(2.0 * grid.k * float(np.sum(res * res / areas))))

@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
 
 from .errors import ValidationError
-from .geometry import admissible_radii, place_bumps
+from .geometry import admissible_radii, bump_terms, place_bumps
 from .grid import build_aligned_sector_grid, energy_functional, gram_matrix
 from .groundstate import (
     SPHERE_MEASURE,
@@ -88,7 +88,7 @@ def _simpson_nodes(lo, hi, target_step):
     return np.linspace(lo, hi, n + 1)
 
 
-def interaction_integral(profile, d, refine=1):
+def interaction_integral(profile, d):
     """Interaction integral Psi(d) between two bumps at distance d.
 
     Parameters
@@ -97,9 +97,6 @@ def interaction_integral(profile, d, refine=1):
         Ground state U.
     d : float
         Center distance, d >= 0.
-    refine : int
-        Resolution multiplier; doubling it should leave the value fixed
-        to better than 1e-6 relative.
 
     Returns
     -------
@@ -113,13 +110,13 @@ def interaction_integral(profile, d, refine=1):
     dim = profile.dimension
     s_hi = d + profile.s[-1] + 5.0
     if dim == 1:
-        x = _simpson_nodes(-profile.s[-1] - 5.0, s_hi, 0.02 / refine)
+        x = _simpson_nodes(-profile.s[-1] - 5.0, s_hi, 0.02)
         vals = profile(np.abs(x)) ** p * profile(np.abs(x - d))
         return float(simpson(vals, x=x))
-    s = _simpson_nodes(0.0, s_hi, 0.025 / refine)
+    s = _simpson_nodes(0.0, s_hi, 0.025)
     us_p = profile(s) ** p
     if dim == 2:
-        n_w = 256 * refine
+        n_w = 256
         w = 2.0 * np.pi * np.arange(n_w) / n_w
         dist = np.sqrt(
             s[:, None] ** 2 + d * d - 2.0 * d * s[:, None] * np.cos(w)[None, :]
@@ -127,7 +124,7 @@ def interaction_integral(profile, d, refine=1):
         ang = profile(dist).sum(axis=1) * (2.0 * np.pi / n_w)
         return float(simpson(us_p * ang * s, x=s))
     if dim == 3:
-        nodes, weights = leggauss(48 * refine)
+        nodes, weights = leggauss(48)
         dist = np.sqrt(
             s[:, None] ** 2 + d * d - 2.0 * d * s[:, None] * nodes[None, :]
         )
@@ -194,7 +191,7 @@ def _angular_nodes(dim, n_w):
     raise ValidationError(f"unsupported dimension {dim}")
 
 
-def potential_moment(profile, potential, r, refine=1):
+def potential_moment(profile, potential, r):
     """Integral of (V(|y|) - 1) U(y - x1)^2 over the whole space, |x1| = r.
 
     Computed in bump-centered polar coordinates, so the exponential decay
@@ -203,9 +200,9 @@ def potential_moment(profile, potential, r, refine=1):
     if r < 0.0:
         raise ValidationError(f"ring radius must be nonnegative, got {r}")
     dim = profile.dimension
-    s = _simpson_nodes(0.0, profile.s[-1] + 10.0, 0.02 / refine)
+    s = _simpson_nodes(0.0, profile.s[-1] + 10.0, 0.02)
     u2 = profile(s) ** 2
-    cosines, weights = _angular_nodes(dim, 128 * refine)
+    cosines, weights = _angular_nodes(dim, 128)
     rho2 = s[:, None] ** 2 + r * r + 2.0 * r * s[:, None] * cosines[None, :]
     rho = np.sqrt(np.maximum(rho2, 0.0))
     vm1 = potential(rho) - 1.0
@@ -249,7 +246,7 @@ class SingleBumpReport:
         return buf.getvalue()
 
 
-def single_bump_energy_report(profile, potential, radii, refine=1):
+def single_bump_energy_report(profile, potential, radii):
     """Tabulate I(U_{x1}) for |x1| = r over a ladder of radii.
 
     The energy splits exactly as I(U_{x1}) = I_flat(U) + (a/2-like)
@@ -267,7 +264,7 @@ def single_bump_energy_report(profile, potential, radii, refine=1):
     consts = expansion_constants(profile, potential)
     energies, deviations, scaled = [], [], []
     for r in radii:
-        e = base + 0.5 * potential_moment(profile, potential, r, refine=refine)
+        e = base + 0.5 * potential_moment(profile, potential, r)
         dev = e - consts.A - consts.B1 / r**m
         energies.append(e)
         deviations.append(dev)
@@ -326,16 +323,12 @@ def ring_energy_numeric(profile, potential, k, r, h=0.1, margin=15.0):
     keeps the ring radius on a cell center, so the leading O(h^2)
     quadrature errors cancel in the extrapolation (9 I_{h/3} - I_h) / 8.
     """
-    coarse = build_aligned_sector_grid(k, r, h, margin=margin)
-    fine = build_aligned_sector_grid(k, r, h / 3.0, margin=margin)
-    centers = place_bumps(k, r).centers
+    config = place_bumps(k, r)
     vals = []
-    for g in (coarse, fine):
-        pts = g.mesh()
-        w = np.zeros(g.shape)
-        for c in centers:
-            w += profile(np.hypot(pts[..., 0] - c[0], pts[..., 1] - c[1]))
-        vals.append(energy_functional(g, w.reshape(-1), gram_matrix(g, potential),
+    for step in (h, h / 3.0):
+        g = build_aligned_sector_grid(k, r, step, margin=margin)
+        w = sum(u_j for u_j, _ in bump_terms(config, profile, g.mesh().reshape(-1, 2)))
+        vals.append(energy_functional(g, w, gram_matrix(g, potential),
                                       profile.exponent))
     return (9.0 * vals[1] - vals[0]) / 8.0
 
@@ -345,10 +338,8 @@ def expansion_comparison(
     potential,
     ks,
     law,
-    radii_per_k=3,
     beta=0.1,
     h=0.1,
-    radii_k1=None,
     margin=15.0,
 ):
     """Compare numeric ring energies against the asymptotic expansion.
@@ -357,7 +348,9 @@ def expansion_comparison(
     energy of the ansatz W_r is evaluated on sector grids and compared
     with k (A + B1/r^m - Psi_law(2 r sin(pi/k))), the expansion with the
     interaction constant evaluated at the true neighbor distance through
-    the fitted law.
+    the fitted law.  Each window is sampled at three radii, a quarter,
+    half and three quarters of the way across; k = 1 rows sit at
+    r = 10 and 20.
 
     Parameters
     ----------
@@ -367,14 +360,10 @@ def expansion_comparison(
         Bump counts; k = 1 rows fall back to the single-bump report.
     law : InteractionLaw
         Fitted interaction law.
-    radii_per_k : int
-        Number of radii sampled per window.
     beta : float
         Window half-width parameter.
     h : float
         Base grid spacing.
-    radii_k1 : sequence, optional
-        Radii for k = 1 rows (default (10, 20)).
     margin : float
         Distance from the ring to the Dirichlet wall of the ring grids.
 
@@ -388,8 +377,7 @@ def expansion_comparison(
     for k in ks:
         k = int(k)
         if k == 1:
-            rs = radii_k1 if radii_k1 is not None else (10.0, 20.0)
-            rep = single_bump_energy_report(profile, potential, rs)
+            rep = single_bump_energy_report(profile, potential, (10.0, 20.0))
             for r, e in zip(rep.radii, rep.energies):
                 asym = asymptotic_energy(1, r, constants, law, m)
                 rows.append(
@@ -403,8 +391,7 @@ def expansion_comparison(
                 )
             continue
         window = admissible_radii(k, m, beta)
-        fracs = np.linspace(0.25, 0.75, radii_per_k)
-        for frac in fracs:
+        for frac in (0.25, 0.5, 0.75):
             r = window.lower + frac * (window.upper - window.lower)
             i_num = ring_energy_numeric(profile, potential, k, r, h=h, margin=margin)
             i_asym = asymptotic_energy(k, r, constants, law, m)

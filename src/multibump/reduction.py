@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import ContractionError, ConvergenceError, ValidationError
-from .geometry import admissible_radii, place_bumps
+from .geometry import bump_terms, correction_window, place_bumps
 from .grid import build_aligned_sector_grid, gram_solver, stiffness_matrix
 from .solvers import lanczos_smallest, minres
 
@@ -54,7 +54,6 @@ __all__ = [
     "build_reduction_context",
     "riesz_lk",
     "coercivity_probe",
-    "nonlinear_remainder",
     "solve_correction",
 ]
 
@@ -140,19 +139,12 @@ class ReductionContext:
                 np.asarray(potential(g.rho), dtype=float), g.n_theta
             )
 
-        centers = place_bumps(k, self.r).centers
         p = profile.exponent
         w_sum = np.zeros(len(pts))
         sum_up = np.zeros(len(pts))
         z_dir = np.zeros(len(pts))
         wc = np.zeros(len(pts))
-        for c in centers:
-            diff = pts - c
-            dist = np.hypot(diff[:, 0], diff[:, 1])
-            u_j, du_j = profile.evaluate(dist)
-            safe = np.where(dist > 1e-14, dist, 1.0)
-            cosine = (diff @ (c / self.r)) / safe
-            z_j = np.where(dist > 1e-14, -du_j * cosine, 0.0)
+        for u_j, z_j in bump_terms(place_bumps(k, self.r), profile, pts):
             w_sum += u_j
             sum_up += u_j**p
             z_dir += z_j
@@ -273,15 +265,15 @@ def riesz_lk(ctx):
     )
 
 
-def coercivity_probe(ctx, n_probe=60, seed=0):
+def coercivity_probe(ctx, seed=0):
     """Smallest singular value of L on E by Lanczos on L squared.
+
+    At most 60 Lanczos steps are taken; the run stops earlier at a
+    converged Ritz value (``solvers.lanczos_smallest``).
 
     Parameters
     ----------
     ctx : ReductionContext
-    n_probe : int
-        Cap on the Lanczos steps, at least 20; the run stops earlier at
-        a converged Ritz value (``solvers.lanczos_smallest``).
     seed : int
         Seed of the randomized start vector.
 
@@ -290,41 +282,23 @@ def coercivity_probe(ctx, n_probe=60, seed=0):
     float
         The estimate rho; positive when L is invertible on E.
     """
-    if n_probe < 20:
-        raise ValidationError(f"need at least 20 probe iterations, got {n_probe}")
     def squared(v):
         return ctx.apply_l_operator(ctx.apply_l_operator(v))
 
     template = np.zeros(ctx.grid.n_cells)
     val, _ = lanczos_smallest(
-        squared, template, ctx.gram, n_steps=n_probe, seed=seed,
+        squared, template, ctx.gram, n_steps=60, seed=seed,
         project=ctx.project_orth,
     )
     return float(np.sqrt(max(val, 0.0)))
 
 
-def nonlinear_remainder(ctx, phi):
-    """Remainder beyond quadratic order and its projected gradient.
-
-    Evaluates R(phi) = 1/(p+1) int (|W+phi|^{p+1} - W^{p+1}
-    - (p+1) W^p phi - (p+1)p/2 W^{p-1} phi^2) together with the Riesz
-    representative of its derivative, projected into E.
-    """
-    w = ctx.w_ansatz
-    p = ctx.exponent
-    tot = w + phi
-    dens = (
-        np.abs(tot) ** (p + 1.0)
-        - w ** (p + 1.0)
-        - (p + 1.0) * w**p * phi
-        - 0.5 * (p + 1.0) * p * w ** (p - 1.0) * phi**2
-    )
-    value = 2.0 * ctx.k * float((ctx.weights * dens).sum()) / (p + 1.0)
-    return value, _remainder_gradient(ctx, phi)
-
-
 def _remainder_gradient(ctx, phi):
-    """R'(phi) alone: the Riesz representative, projected into E."""
+    """R'(phi) for the remainder beyond quadratic order,
+
+    R(phi) = 1/(p+1) int (|W+phi|^{p+1} - W^{p+1} - (p+1) W^p phi
+    - (p+1)p/2 W^{p-1} phi^2): its Riesz representative, projected into E.
+    """
     w = ctx.w_ansatz
     p = ctx.exponent
     tot = w + phi
@@ -373,7 +347,7 @@ class CorrectionResult:
         )
 
 
-def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_window=True):
+def solve_correction(ctx, tol=1e-8):
     """Solve the constrained correction equation by contraction.
 
     Starting from phi = 0, each outer step solves the projected linear
@@ -382,30 +356,23 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
     gradient fall below tol.  The step is solved for the update d =
     phi_new - phi from L d = -gap, where gap = l_k + L phi - R'(phi) is
     the projected gradient the previous step measured, to the absolute
-    accuracy inner_rtol |l_k - R'(phi)| that a solve for phi_new from
-    zero would reach; late steps, whose gap is small, then take few
-    Krylov iterations.
+    accuracy 1e-11 |l_k - R'(phi)| that a solve for phi_new from zero
+    would reach; late steps, whose gap is small, then take few Krylov
+    iterations.  At most 30 outer steps are taken.  For k >= 2 the
+    radius must lie in ``geometry.correction_window``.
 
     Parameters
     ----------
     ctx : ReductionContext
     tol : float
         Convergence tolerance in the H^1_V norm.
-    max_outer : int
-        Outer iteration cap.
-    inner_rtol : float
-        Relative tolerance of the inner Krylov solves.
-    validate_window : bool
-        Check that r lies in the admissible window (k >= 2 only).
 
     Returns
     -------
     CorrectionResult
     """
-    if validate_window and ctx.k >= 2:
-        window = admissible_radii(
-            ctx.k, ctx.potential.m, beta=0.95 * ctx.potential.m / (2.0 * np.pi)
-        )
+    if ctx.k >= 2:
+        window = correction_window(ctx.k, ctx.potential.m)
         if not (window.lower - 1e-9 <= ctx.r <= window.upper + 1e-9):
             raise ValidationError(
                 f"radius {ctx.r} outside the admissible window "
@@ -430,10 +397,10 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
     r_grad = _remainder_gradient(ctx, phi)
     gap = l_flat - r_grad
     residual = ctx.norm(gap)
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, 31):
         # The accuracy a solve of L phi_new = -(l_k - R'(phi)) from zero
         # reaches, asked of the update's equation L d = -gap instead.
-        target = inner_rtol * ctx.norm(l_flat - r_grad)
+        target = 1e-11 * ctx.norm(l_flat - r_grad)
         if residual <= target:
             d = np.zeros_like(phi)
         else:
@@ -481,6 +448,6 @@ def solve_correction(ctx, tol=1e-8, max_outer=30, inner_rtol=1e-11, validate_win
             )
     raise ConvergenceError(
         "correction iteration ran out of outer steps",
-        iterations=max_outer,
+        iterations=outer,
         residual=residual,
     )

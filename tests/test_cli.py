@@ -316,3 +316,16 @@ def test_radius_k1_reaches_the_single_bump_row(tmp_path):
         assert run_pipeline(cfg, str(out), ["study"]) == 0
         radii[radius] = float(_study_column(out / "scaling.csv", "r_k")[0])
     assert radii == {10.0: 10.0, 12.0: 12.0}
+
+
+def test_a_single_bump_in_the_ladder_is_studied_but_not_certified(tmp_path):
+    """k = 1 adds a study control row; reduce and certify skip it, since a
+    bump off the origin is no solution at any fixed radius."""
+    cfg = RunConfig.from_mapping({"k_values": [1, 6], "grid_step": 0.25,
+                                  "curve_samples": 9})
+    assert run_pipeline(cfg, str(tmp_path), list(STAGES)) == 0
+    assert not (tmp_path / "certificate_k1.json").exists()
+    assert _study_column(tmp_path / "scaling.csv", "k") == ["1", "6"]
+    summary = (tmp_path / "summary.md").read_text()
+    rows = summary.split("## Certificates")[1].strip().splitlines()[2:]
+    assert [row.split("|")[1].strip() for row in rows] == ["6"]

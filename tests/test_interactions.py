@@ -100,8 +100,7 @@ def test_ring_energy_matches_expansion_at_midpoint(profile2d, potential, law2d):
 
 
 def test_expansion_table(profile2d, potential, law2d):
-    table = expansion_comparison(profile2d, potential, (1, 6), law=law2d,
-                                 radii_per_k=3, h=0.15)
+    table = expansion_comparison(profile2d, potential, (1, 6), law=law2d, h=0.15)
     ks = sorted({row.k for row in table.rows})
     assert ks == [1, 6]
     for row in table.rows:

@@ -20,8 +20,8 @@ from multibump import (
     riesz_lk,
     solve_correction,
 )
-from multibump import reduction
-from multibump.reduction import nonlinear_remainder
+from multibump import eval_ansatz, place_bumps, reduction
+from multibump.reduction import _remainder_gradient
 from multibump.solvers import minres
 
 
@@ -103,9 +103,7 @@ def test_riesz_potential_part_linear_in_amplitude(profile2d, potential):
 
 
 def test_remainder_vanishes_at_zero(ctx8):
-    zero = np.zeros(ctx8.grid.n_cells)
-    value, grad = nonlinear_remainder(ctx8, zero)
-    assert value == 0.0
+    grad = _remainder_gradient(ctx8, np.zeros(ctx8.grid.n_cells))
     assert ctx8.norm(grad) == 0.0
 
 
@@ -140,7 +138,7 @@ def test_a_posteriori_norm_bound(ctx8):
     rep = riesz_lk(ctx8)
     rho = coercivity_probe(ctx8, seed=0)
     assert rho > 0.0
-    _, r_grad = nonlinear_remainder(ctx8, corr.phi)
+    r_grad = _remainder_gradient(ctx8, corr.phi)
     bound = 2.0 * (rep.norm + ctx8.norm(r_grad)) / rho
     assert corr.norm <= bound
 
@@ -179,9 +177,28 @@ def test_window_validation(profile2d, potential):
     ctx = build_reduction_context(profile2d, potential, 8, 16.0, h=0.2)
     with pytest.raises(ValidationError):
         solve_correction(ctx, tol=1e-8)
-    # the check can be bypassed for off-window experiments
-    corr = solve_correction(ctx, tol=1e-6, validate_window=False)
-    assert corr.norm > 0.0
+
+
+@pytest.fixture(scope="module")
+def ctx6(profile2d, potential):
+    return build_reduction_context(profile2d, potential, 6, 4.2, h=0.2)
+
+
+def test_tested_ansatz_is_the_context_ansatz(ctx6, profile2d):
+    """geometry.eval_ansatz and the context build W_r from one kernel."""
+    pts = ctx6.grid.mesh().reshape(-1, 2)
+    w_tested = eval_ansatz(place_bumps(6, 4.2), profile2d, pts)
+    assert np.array_equal(w_tested, ctx6.w_ansatz)
+
+
+def test_constraint_direction_is_the_radius_derivative_of_the_ansatz(
+        ctx6, profile2d, potential):
+    """Z = dW_r/dr: a central difference of W_r on the context's grid."""
+    delta = 1e-5
+    w = [build_reduction_context(profile2d, potential, 6, 4.2 + s * delta, h=0.2,
+                                 grid=ctx6.grid, reuse=ctx6).w_ansatz for s in (1, -1)]
+    np.testing.assert_allclose(ctx6.constraint.z_direction, (w[0] - w[1]) / (2 * delta),
+                               rtol=0.0, atol=1e-8)
 
 
 def test_overlapping_bumps_stop_contracting(profile2d, potential):
