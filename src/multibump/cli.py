@@ -452,16 +452,7 @@ def _stage_certify(inputs, out_dir):
         if k < 2:
             # One bump off the origin is no solution: A + B1/r^m falls with r.
             continue
-        r_start = extend_past_edge(
-            inputs.curve(k),
-            inputs.profile,
-            inputs.potential,
-            constants=inputs.constants,
-            law=inputs.law,
-            h=cfg.grid_step,
-            tol=cfg.correction_tol_h1v,
-            margin=cfg.wall_margin,
-        ).r_max
+        r_start = extend_past_edge(inputs.curve(k)).r_max
         cert = polish_and_certify(
             inputs.profile,
             inputs.potential,

@@ -20,7 +20,7 @@ the interiority flag stays False for a boundary argmax.
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -275,6 +275,57 @@ def reduced_energy(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Sampler:
+    """r -> (F(r), asymptotic value, method) at one curve's fixed settings.
+
+    Each sample is a ``reduced_energy`` solve, or the caller's
+    ``evaluator`` (asymptotic value nan, method "formula"); where no
+    correction could be computed it is (-inf, nan, None).  Samplers are
+    equal when all their settings are, the profile compared by value, so
+    a copy pickled to a worker equals its original.
+    """
+
+    profile: object
+    potential: object
+    k: int
+    constants: object
+    law: object
+    h: float
+    tol: float
+    margin: float
+    evaluator: object = None
+
+    def __call__(self, r):
+        try:
+            if self.evaluator is not None:
+                return float(self.evaluator(r)), math.nan, "formula"
+            res = reduced_energy(self.profile, self.potential, self.k, r,
+                                 constants=self.constants, law=self.law, h=self.h,
+                                 tol=self.tol, margin=self.margin)
+            return float(res.value), res.asymptotic, res.method
+        except (ContractionError, ConvergenceError, NumericalError, ValidationError):
+            return -math.inf, math.nan, None
+
+    def value(self, r):
+        return self(r)[0]
+
+    def differences(self, other):
+        """Names of the settings in which ``other`` differs from this one."""
+        return [f.name for f in fields(self)
+                if not _same(getattr(self, f.name), getattr(other, f.name))]
+
+    def __eq__(self, other):
+        return isinstance(other, _Sampler) and not self.differences(other)
+
+
+def _same(a, b):
+    """a == b, with dataclasses compared field by field and arrays by value."""
+    if is_dataclass(a) and type(a) is type(b):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 @dataclass(frozen=True)
 class ReducedEnergyCurve:
     """Sampled reduced energy over the admissible window.
@@ -306,6 +357,9 @@ class ReducedEnergyCurve:
     extended : bool
         True when the boundary-argmax continuation stepped past the
         upper window edge; r_max then lies outside [lower, upper].
+    sampler : callable
+        The F that was sampled, r -> (F(r), asymptotic value, method),
+        with the search's settings as attributes.
     """
 
     k: int
@@ -321,6 +375,7 @@ class ReducedEnergyCurve:
     lower: float
     upper: float
     extended: bool
+    sampler: _Sampler
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -355,32 +410,6 @@ def _golden_max(fun, lo, hi, tol):
     return best_r, best_f
 
 
-def _guarded_evaluator(profile, potential, k, constants, law, h, tol, margin,
-                       evaluator, methods):
-    """r -> F(r), with -inf where no correction could be computed.
-
-    Without an ``evaluator`` each call is a full ``reduced_energy``
-    solve, and the solver it used is appended to ``methods``.
-    """
-    if evaluator is None:
-
-        def evaluator(r):
-            res = reduced_energy(
-                profile, potential, k, r, constants=constants, law=law, h=h,
-                tol=tol, margin=margin,
-            )
-            methods.append(res.method)
-            return res.value
-
-    def guarded(r):
-        try:
-            return float(evaluator(r))
-        except (ContractionError, ConvergenceError, NumericalError, ValidationError):
-            return -math.inf
-
-    return guarded
-
-
 def maximize_reduced_energy(
     profile,
     potential,
@@ -393,7 +422,6 @@ def maximize_reduced_energy(
     tol=1e-8,
     refine_frac=1e-3,
     evaluator=None,
-    extend_on_boundary=False,
     margin=15.0,
 ):
     """Locate the maximizer of F over the admissible window.
@@ -406,7 +434,7 @@ def maximize_reduced_energy(
     assumes) peaks within refine_tol of the end, which is kept as the
     argmax without refinement, so a clamped curve costs n_samples + 1
     evaluations.  A boundary argmax is reported through the interiority
-    flag rather than raised.
+    flag rather than raised; ``extend_past_edge`` continues it.
 
     Parameters
     ----------
@@ -424,11 +452,6 @@ def maximize_reduced_energy(
     evaluator : callable, optional
         r -> F(r) replacement for the full solve; used for the
         formula-only mode and test hooks.
-    extend_on_boundary : bool
-        Continue the finished in-window curve with ``extend_past_edge``.
-        Used by the certification stage, where the polish needs a start
-        near a genuine critical point; at desk scale the turnover of F
-        can sit past the nominal window.
 
     Returns
     -------
@@ -439,61 +462,52 @@ def maximize_reduced_energy(
     if k < 2:
         raise ValidationError("the admissible window degenerates at k = 1")
     window = admissible_radii(k, potential.m, beta=beta)
-    formula_mode = evaluator is not None
-    if not formula_mode:
-        constants, law = _fill_defaults(profile, potential, constants, law, k >= 2)
-    methods = []
-    guarded = _guarded_evaluator(profile, potential, k, constants, law, h, tol,
-                                 margin, evaluator, methods)
+    if evaluator is None:
+        constants, law = _fill_defaults(profile, potential, constants, law, True)
+    sampler = _Sampler(profile, potential, k, constants, law, h, tol, margin, evaluator)
 
     rs = np.linspace(window.lower, window.upper, n_samples)
-    vals = np.array([guarded(r) for r in rs])
-    scan_methods = tuple(methods)
+    scan = [(r,) + sampler(r) for r in rs]
+    vals = np.array([f for _, f, _, _ in scan])
     ok = np.isfinite(vals)
     if not ok.any():
-        raise ConvergenceError(
-            f"no window sample admitted a correction for k={k}"
-        )
+        raise ConvergenceError(f"no window sample admitted a correction for k={k}")
     i_best = int(np.argmax(np.where(ok, vals, -math.inf)))
     lo = rs[max(i_best - 1, 0)]
     hi = rs[min(i_best + 1, n_samples - 1)]
-    refine_tol = refine_frac * (window.upper - window.lower)
+    refine_tol = refine_frac * window.width
     r_max, f_max = float(rs[i_best]), float(vals[i_best])
     # An end sample with F lower one refine_tol inside it: a unimodal F
     # peaks within refine_tol of the end, so the golden section is skipped.
     at_end = i_best in (0, n_samples - 1)
     inward = r_max + refine_tol if i_best == 0 else r_max - refine_tol
-    if not (at_end and guarded(inward) < f_max):
-        r_ref, f_ref = _golden_max(guarded, lo, hi, refine_tol)
+    if not (at_end and sampler.value(inward) < f_max):
+        r_ref, f_ref = _golden_max(sampler.value, lo, hi, refine_tol)
         if f_ref >= f_max:
             r_max, f_max = r_ref, f_ref
 
-    curve = _curve(
-        k, window.lower, window.upper, (window.upper - window.lower) / (n_samples - 1),
-        radii=rs[ok],
-        values=vals[ok],
-        asymptotics=_asymptotics(k, rs[ok], constants, law, potential.m, formula_mode),
-        methods=("formula",) * int(ok.sum()) if formula_mode else scan_methods,
-        failed_radii=tuple(float(r) for r in rs[~ok]),
-        r_max=r_max,
-        f_max=f_max,
+    return _curve(
+        sampler, window.lower, window.upper, window.width / (n_samples - 1), r_max, f_max,
+        [s for s, good in zip(scan, ok) if good], tuple(float(r) for r in rs[~ok]),
     )
-    if extend_on_boundary:
-        curve = extend_past_edge(
-            curve, profile, potential, constants=constants, law=law, h=h, tol=tol,
-            refine_frac=refine_frac, evaluator=evaluator, margin=margin,
-        )
-    return curve
 
 
-def _curve(k, lower, upper, step, r_max, f_max, **samples):
-    """ReducedEnergyCurve on the window [lower, upper] scanned at ``step``.
+def _curve(sampler, lower, upper, step, r_max, f_max, samples, failed_radii):
+    """ReducedEnergyCurve of the (r, F, asymptotic, method) ``samples`` on
+    the window [lower, upper] scanned at ``step``.
 
     The argmax is interior when it keeps at least one step from both
     window ends and extended when it lies past the upper end.
     """
+    radii, values, asymptotics, methods = zip(*samples)
+    k = sampler.k
     return ReducedEnergyCurve(
         k=k,
+        radii=np.array(radii),
+        values=np.array(values),
+        asymptotics=np.array(asymptotics),
+        methods=methods,
+        failed_radii=failed_radii,
         r_max=float(r_max),
         f_max=float(f_max),
         interior=bool(r_max - lower >= step - 1e-12 and upper - r_max >= step - 1e-12),
@@ -501,14 +515,7 @@ def _curve(k, lower, upper, step, r_max, f_max, **samples):
         lower=lower,
         upper=upper,
         extended=bool(r_max > upper + 1e-12),
-        **samples,
-    )
-
-
-def _asymptotics(k, radii, constants, law, m, formula_mode):
-    return np.array(
-        [math.nan if formula_mode else asymptotic_energy(k, r, constants, law, m)
-         for r in radii]
+        sampler=sampler,
     )
 
 
@@ -521,18 +528,7 @@ def _require_in_window(curve):
         )
 
 
-def extend_past_edge(
-    curve,
-    profile,
-    potential,
-    constants=None,
-    law=None,
-    h=0.1,
-    tol=1e-8,
-    refine_frac=1e-3,
-    evaluator=None,
-    margin=15.0,
-):
+def extend_past_edge(curve, refine_frac=1e-3):
     """Continue an in-window curve past the upper edge to the turnover of F.
 
     When the argmax of ``curve`` lies within one coarse step of the
@@ -542,16 +538,13 @@ def extend_past_edge(
     one, [upper - step, upper + step] when F already falls on the
     first step out.  Otherwise, or when the upper-edge sample failed,
     no radius is evaluated and the result equals ``curve``.  The
-    window samples and the evaluations behind ``curve`` are reused, so
-    ``maximize_reduced_energy(..., extend_on_boundary=True)`` is the
-    in-window search followed by this continuation.
+    window samples and the evaluations behind ``curve`` are reused, and
+    every new sample is taken by ``curve.sampler``.
 
     Parameters
     ----------
     curve : ReducedEnergyCurve
         In-window result of ``maximize_reduced_energy``.
-    profile, potential, constants, law, h, tol, margin, evaluator
-        As given to ``maximize_reduced_energy`` for ``curve``.
     refine_frac : float
         Refinement tolerance relative to the window length.
 
@@ -561,52 +554,36 @@ def extend_past_edge(
         ``extended`` is True when r_max lies past the upper edge.
     """
     _require_in_window(curve)
-    k, lower, upper = curve.k, curve.lower, curve.upper
+    lower, upper, sampler = curve.lower, curve.upper, curve.sampler
     step = (upper - lower) / (curve.radii.size + len(curve.failed_radii) - 1)
     if upper - curve.r_max >= step - 1e-12:
         return curve
-    formula_mode = evaluator is not None
-    if not formula_mode:
-        constants, law = _fill_defaults(profile, potential, constants, law, k >= 2)
-    methods = []
-    guarded = _guarded_evaluator(profile, potential, k, constants, law, h, tol,
-                                 margin, evaluator, methods)
-
-    slack = correction_window(k, potential.m)
+    slack = correction_window(curve.k, sampler.potential.m)
     edge_ok = curve.radii.size and curve.radii[-1] == upper
     r_prev = upper - step
     r_cur = upper
     f_cur = float(curve.values[-1]) if edge_ok else -math.inf
-    ext_rs, ext_fs, ext_methods = [], [], []
+    ext = []
     while math.isfinite(f_cur) and r_cur < slack.upper - 1e-9:
         r_next = min(r_cur + step, slack.upper)
-        f_next = guarded(r_next)
+        f_next, asymptotic, method = sampler(r_next)
         if math.isfinite(f_next):
-            ext_rs.append(r_next)
-            ext_fs.append(f_next)
-            ext_methods.append("formula" if formula_mode else methods[-1])
+            ext.append((r_next, f_next, asymptotic, method))
         if not math.isfinite(f_next) or f_next <= f_cur:
             break
         r_prev, r_cur, f_cur = r_cur, r_next, f_next
     r_max, f_max = curve.r_max, curve.f_max
     if math.isfinite(f_cur):
-        refine_tol = refine_frac * (upper - lower)
-        r_ref, f_ref = _golden_max(guarded, r_prev, min(r_cur + step, slack.upper),
-                                   refine_tol)
+        r_ref, f_ref = _golden_max(sampler.value, r_prev, min(r_cur + step, slack.upper),
+                                   refine_frac * (upper - lower))
         if f_cur > f_max:
             r_max, f_max = r_cur, f_cur
         if f_ref >= f_max:
             r_max, f_max = r_ref, f_ref
     return _curve(
-        k, lower, upper, step, r_max, f_max,
-        radii=np.concatenate([curve.radii, ext_rs]),
-        values=np.concatenate([curve.values, ext_fs]),
-        asymptotics=np.concatenate([
-            curve.asymptotics,
-            _asymptotics(k, ext_rs, constants, law, potential.m, formula_mode),
-        ]),
-        methods=curve.methods + tuple(ext_methods),
-        failed_radii=curve.failed_radii,
+        sampler, lower, upper, step, r_max, f_max,
+        list(zip(curve.radii, curve.values, curve.asymptotics, curve.methods)) + ext,
+        curve.failed_radii,
     )
 
 
@@ -891,29 +868,22 @@ class StudyTable:
                 )
 
 
-def _study_row(profile, potential, k, curve, beta, h, n_samples, seed, tol,
-               constants, law, margin, radius_k1):
-    """One study row; ``curve`` is the in-window curve of k, or None to search.
+def _study_row(sampler, curve, beta, n_samples, seed, radius_k1):
+    """The study row of ``sampler``'s k; ``curve`` is its in-window curve,
+    or None to search one with ``beta`` and ``n_samples``.
 
     The k = 1 row sits at ``radius_k1``, and its F is the energy there.
     """
+    s, k = sampler, sampler.k
     if k >= 2 and curve is None:
         curve = maximize_reduced_energy(
-            profile,
-            potential,
-            k,
-            n_samples=n_samples,
-            constants=constants,
-            law=law,
-            beta=beta,
-            h=h,
-            tol=tol,
-            margin=margin,
+            s.profile, s.potential, k, n_samples=n_samples, constants=s.constants,
+            law=s.law, beta=beta, h=s.h, tol=s.tol, margin=s.margin,
         )
     single = k == 1
     r = radius_k1 if single else curve.r_max
-    ctx = build_reduction_context(profile, potential, k, r, h=h, margin=margin)
-    corr, _ = _solve_with_rescue(ctx, tol=tol)
+    ctx = build_reduction_context(s.profile, s.potential, k, r, h=s.h, margin=s.margin)
+    corr, _ = _solve_with_rescue(ctx, tol=s.tol)
     return StudyRow(
         k=k,
         r_k=ctx.r,
@@ -969,13 +939,19 @@ def scaling_study(
     radius_k1 : float
         Ring radius of the k = 1 row.
     curves : mapping of int to ReducedEnergyCurve, optional
-        In-window curves (``maximize_reduced_energy`` with the same
-        window, grid and scan settings) for some or all k; their
-        search is skipped, the other k are searched here.
+        In-window curves for some or all k; their search is skipped,
+        the other k are searched here.
 
     Returns
     -------
     StudyTable
+
+    Raises
+    ------
+    ValidationError
+        When a supplied curve continues past its window, or was not
+        searched with the study's own profile, potential, constants,
+        law, h, tol, margin, window and scan size.
     """
     ks = [int(k) for k in ks]
     if ks != sorted(ks) or len(set(ks)) != len(ks):
@@ -987,11 +963,22 @@ def scaling_study(
         _require_in_window(curve)
     constants, law = _fill_defaults(profile, potential, constants, law,
                                     any(k >= 2 for k in ks))
-    args = [
-        (profile, potential, k, curves.get(k), beta, h, n_samples, seed, tol,
-         constants, law, margin, radius_k1)
-        for k in ks
-    ]
+    args = []
+    for k in ks:
+        sampler = _Sampler(profile, potential, k, constants, law, h, tol, margin)
+        curve = curves.get(k)
+        if curve is not None:
+            window = admissible_radii(k, potential.m, beta=beta)
+            differ = curve.sampler.differences(sampler)
+            if (curve.lower, curve.upper) != (window.lower, window.upper):
+                differ.append("window")
+            if curve.radii.size + len(curve.failed_radii) != n_samples:
+                differ.append("n_samples")
+            if differ:
+                raise ValidationError(f"the k={k} curve was searched with another "
+                                      f"{', '.join(differ)} than the study's")
+            sampler = curve.sampler  # equal; the row pickles one profile
+        args.append((sampler, curve, beta, n_samples, seed, radius_k1))
     workers = min(jobs, len(args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -63,9 +63,6 @@ class AdmissibleInterval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, r: float) -> bool:
-        return self.lower <= r <= self.upper
-
 
 def admissible_radii(k: int, m: float, beta: float = 0.1) -> AdmissibleInterval:
     """Window [(m/2pi - beta) k ln k, (m/2pi + beta) k ln k].
@@ -93,10 +90,6 @@ class BumpConfiguration:
     r: float
     centers: np.ndarray
 
-    @property
-    def nearest_neighbour_distance(self) -> float:
-        return 2.0 * self.r * np.sin(np.pi / self.k)
-
 
 def place_bumps(k: int, r: float) -> BumpConfiguration:
     """Vertices of the regular k-gon of radius r, first on the positive axis."""
@@ -115,6 +108,13 @@ def correction_window(k: int, m: float) -> AdmissibleInterval:
     return admissible_radii(k, m, beta=0.95 * m / (2.0 * np.pi))
 
 
+def _offsets(config: BumpConfiguration, points):
+    """Yield (x_j, y - x_j, |y - x_j|) at points (n, 2) for each bump j."""
+    for c in config.centers:
+        diff = points - c
+        yield c, diff, np.hypot(diff[:, 0], diff[:, 1])
+
+
 def bump_terms(config: BumpConfiguration, profile, points):
     """Yield (U_j, Z_j) at points (n, 2) for each bump j of the ring.
 
@@ -123,9 +123,7 @@ def bump_terms(config: BumpConfiguration, profile, points):
     lookup; the removable 0/0 at a center evaluates to 0 since U'(0) = 0.
     W_r is the sum of the U_j and Z = dW_r/dr the sum of the Z_j.
     """
-    for c in config.centers:
-        diff = points - c
-        dist = np.hypot(diff[:, 0], diff[:, 1])
+    for c, diff, dist in _offsets(config, points):
         u_j, du_j = profile.evaluate(dist)
         safe = np.where(dist > 1e-14, dist, 1.0)
         cosine = (diff @ (c / config.r)) / safe
@@ -133,9 +131,12 @@ def bump_terms(config: BumpConfiguration, profile, points):
 
 
 def eval_ansatz(config: BumpConfiguration, profile, points) -> np.ndarray:
-    """W_r = sum of profile copies at the bump centers, at points (..., 2)."""
+    """W_r = sum of profile copies at the bump centers, at points (..., 2).
+
+    The same U_j as ``bump_terms``, without the derivative lookup.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    total = sum(u_j for u_j, _ in bump_terms(config, profile, pts))
+    total = sum(profile(dist) for _, _, dist in _offsets(config, pts))
     return total if np.asarray(points).ndim > 1 else float(total[0])
 
 

@@ -105,10 +105,6 @@ class SectorGrid:
         """Integral over the wedge of a cellwise field."""
         return float(np.sum(values * self.cell_areas()))
 
-    def full_integral(self, values):
-        """Integral over the full plane of the symmetrized field (2k copies)."""
-        return 2.0 * self.k * self.sector_integral(values)
-
     def to_csv(self, values):
         """CSV text of cell ``values``: a header comment, then rho,theta,value rows."""
         values = np.reshape(values, self.shape)

@@ -205,6 +205,7 @@ class RadialProfile:
         An independent consistency check: U'' is rebuilt from the stored
         values (even extension across s = 0), U' is taken from the stored
         derivative samples.  Nodes within three steps of s_max are skipped.
+        It is the only check of the profile that does not depend on the solver.
         """
         u = np.concatenate([self.values[3:0:-1], self.values])
         d2 = np.convolve(u, _D2_STENCIL[::-1], mode="valid") / (180.0 * self.h**2)

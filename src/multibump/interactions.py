@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
 
 from .errors import ValidationError
-from .geometry import admissible_radii, bump_terms, place_bumps
+from .geometry import admissible_radii, eval_ansatz, place_bumps
 from .grid import build_aligned_sector_grid, energy_functional, gram_matrix
 from .groundstate import (
     SPHERE_MEASURE,
@@ -327,7 +327,7 @@ def ring_energy_numeric(profile, potential, k, r, h=0.1, margin=15.0):
     vals = []
     for step in (h, h / 3.0):
         g = build_aligned_sector_grid(k, r, step, margin=margin)
-        w = sum(u_j for u_j, _ in bump_terms(config, profile, g.mesh().reshape(-1, 2)))
+        w = eval_ansatz(config, profile, g.mesh().reshape(-1, 2))
         vals.append(energy_functional(g, w, gram_matrix(g, potential),
                                       profile.exponent))
     return (9.0 * vals[1] - vals[0]) / 8.0

@@ -32,7 +32,6 @@ the Krylov solver and the eigenvalue probe rely on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,19 +331,6 @@ class CorrectionResult:
     ratios: list
     residual: float
     constraint_value: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "norm": self.norm,
-                "iterations": self.iterations,
-                "ratios": list(self.ratios),
-                "residual": self.residual,
-                "constraint_value": self.constraint_value,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def solve_correction(ctx, tol=1e-8):

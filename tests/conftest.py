@@ -118,7 +118,7 @@ def study_table(profile2d, potential, constants2d, law2d, ladder_curves):
 
 
 @pytest.fixture(scope="session")
-def extended_curves(profile2d, potential, constants2d, law2d, ladder_curves):
+def extended_curves(ladder_curves):
     """The ladder curves continued past the upper window edge.
 
     Each search goes on to the turnover of F.  Shared by acceptance
@@ -126,16 +126,8 @@ def extended_curves(profile2d, potential, constants2d, law2d, ladder_curves):
     seconds), the elapsed time including the in-window search.
     """
     curves, search_s = ladder_curves
-    extend = functools.partial(
-        extend_past_edge,
-        profile=profile2d,
-        potential=potential,
-        constants=constants2d,
-        law=law2d,
-        h=0.1,
-    )
     t0 = time.monotonic()
-    extended = dict(zip(LADDER, _pool_map(extend, [curves[k] for k in LADDER])))
+    extended = dict(zip(LADDER, _pool_map(extend_past_edge, [curves[k] for k in LADDER])))
     return extended, search_s + time.monotonic() - t0
 
 

@@ -27,6 +27,7 @@ from multibump import (
     admissible_radii,
     build_reduction_context,
     coercivity_probe,
+    extend_past_edge,
     fit_interaction_law,
     interaction_integral,
     maximize_reduced_energy,
@@ -159,14 +160,10 @@ def test_07_maximizer_scales_like_k_log_k_over_pi(
         assert not row.interior
         assert curve.r_max > row.r_k
         assert curve.f_max >= k * row.f_over_k
-        formula = maximize_reduced_energy(
-            None,
-            potential,
-            k,
-            n_samples=11,
+        formula = extend_past_edge(maximize_reduced_energy(
+            None, potential, k, n_samples=11,
             evaluator=expansion_r_part(k, constants2d, law2d),
-            extend_on_boundary=True,
-        )
+        ))
         gaps.append(abs(curve.normalized - target))
         offsets.append(abs(curve.normalized - formula.normalized))
     assert all(b < a for a, b in zip(gaps, gaps[1:])), f"turnover gaps to 1/pi: {gaps}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -213,9 +214,9 @@ def test_desk_scale_curve_is_monotone(profile2d, potential, constants2d, law2d):
 
 def test_boundary_extension_reaches_the_turnover(profile2d, potential,
                                                  constants2d, law2d):
-    curve = maximize_reduced_energy(profile2d, potential, 8, n_samples=9,
-                                    constants=constants2d, law=law2d, h=0.2,
-                                    extend_on_boundary=True)
+    curve = extend_past_edge(maximize_reduced_energy(
+        profile2d, potential, 8, n_samples=9, constants=constants2d, law=law2d, h=0.2,
+    ))
     assert curve.extended
     assert curve.r_max > curve.upper
     # frozen from an independent fixed-grid scan of the same setup
@@ -232,9 +233,9 @@ def test_boundary_extension_refines_a_turnover_within_one_step(potential):
     window = admissible_radii(k, potential.m, beta=0.1)
     step = window.width / 10
     r_star = window.upper + 0.4 * step
-    curve = maximize_reduced_energy(None, potential, k, n_samples=11,
-                                    evaluator=lambda r: -(r - r_star) ** 2,
-                                    extend_on_boundary=True)
+    curve = extend_past_edge(maximize_reduced_energy(
+        None, potential, k, n_samples=11, evaluator=lambda r: -(r - r_star) ** 2,
+    ))
     assert curve.extended
     assert curve.r_max == pytest.approx(r_star, abs=1e-3 * window.width)
 
@@ -272,8 +273,8 @@ def _edge_sample_fails(window, step):
     ids=["several-steps-out", "first-step-falls", "edge-sample-fails"],
 )
 def test_extension_continues_the_in_window_curve(potential, make, extended):
-    """Search-then-extend equals the one-call extended search, field for
-    field, and the continuation only evaluates radii past the edge."""
+    """The continuation keeps the window samples and samples F, through
+    the curve's own sampler, only past the edge."""
     k = 8
     window = admissible_radii(k, potential.m, beta=0.1)
     step = window.width / 10
@@ -287,19 +288,15 @@ def test_extension_continues_the_in_window_curve(potential, make, extended):
     in_window = maximize_reduced_energy(None, potential, k, n_samples=11,
                                         evaluator=counted)
     n_search = len(calls)
-    continued = extend_past_edge(in_window, None, potential, evaluator=counted)
-    two_calls = list(calls)
-    del calls[:]
-    one_call = maximize_reduced_energy(None, potential, k, n_samples=11,
-                                       evaluator=counted, extend_on_boundary=True)
-    assert_same_curve(continued, one_call)
-    assert calls == two_calls  # same radii, in the same order
+    continued = extend_past_edge(in_window)
     assert continued.extended == extended
-    extension = two_calls[n_search:]
+    assert continued.sampler is in_window.sampler
+    np.testing.assert_array_equal(continued.radii[:in_window.radii.size], in_window.radii)
+    extension = calls[n_search:]
     if extended:
         assert min(extension) > window.upper - step
         with pytest.raises(ValidationError, match="already continues"):
-            extend_past_edge(continued, None, potential, evaluator=counted)
+            extend_past_edge(continued)
     else:
         assert extension == []
         assert window.upper in continued.failed_radii
@@ -363,14 +360,45 @@ def test_study_rows_from_supplied_curves_match_its_own_search(
 
 def test_study_refuses_curves_it_cannot_use(potential):
     window = admissible_radii(6, potential.m, beta=0.1)
-    continued = maximize_reduced_energy(
+    continued = extend_past_edge(maximize_reduced_energy(
         None, potential, 6, evaluator=lambda r: -(r - window.upper - 0.5) ** 2,
-        extend_on_boundary=True,
-    )
+    ))
     with pytest.raises(ValidationError, match="already continues"):
         scaling_study(None, potential, (6,), curves={6: continued})
     with pytest.raises(ValidationError, match="supplied under k=8"):
         scaling_study(None, potential, (8,), curves={8: continued})
+
+
+@pytest.fixture(scope="module")
+def curve6(profile2d, potential, constants2d, law2d):
+    return maximize_reduced_energy(profile2d, potential, 6, n_samples=9,
+                                   constants=constants2d, law=law2d, h=0.25)
+
+
+def test_a_pickled_curve_keeps_an_equal_sampler(curve6):
+    copy = pickle.loads(pickle.dumps(curve6))
+    assert copy.sampler == curve6.sampler
+    assert copy.sampler.profile is not curve6.sampler.profile
+    assert copy.sampler != dataclasses.replace(curve6.sampler, h=0.3)
+
+
+@pytest.mark.parametrize("setting, value, named", [
+    ("h", 0.3, "another h than"),
+    ("beta", 0.05, "another window than"),
+    ("n_samples", 11, "another n_samples than"),
+])
+def test_study_refuses_a_curve_searched_with_other_settings(
+    profile2d, potential, constants2d, law2d, curve6, monkeypatch, setting, value, named
+):
+    """A k = 6 curve searched at h = 0.25, beta = 0.1 with 9 samples is
+    refused by a study with another setting, before any row runs."""
+    rows = []
+    monkeypatch.setattr(driver, "_study_row", lambda *args: rows.append(args))
+    kwargs = dict(constants=constants2d, law=law2d, h=0.25, n_samples=9)
+    kwargs[setting] = value
+    with pytest.raises(ValidationError, match=named):
+        scaling_study(profile2d, potential, (1, 6), curves={6: curve6}, **kwargs)
+    assert rows == []
 
 
 @pytest.fixture(scope="module")

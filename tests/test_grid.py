@@ -41,7 +41,8 @@ def test_grid_quadrature_weights():
     assert g.sector_integral(np.ones(g.shape)) == pytest.approx(
         0.5 * (np.pi / 4.0) * 10.0**2, rel=1e-12
     )
-    assert g.full_integral(np.ones(g.shape)) == pytest.approx(
+    # 2k reflected copies of the wedge cover the disc
+    assert 2.0 * g.k * g.sector_integral(np.ones(g.shape)) == pytest.approx(
         np.pi * 10.0**2, rel=1e-12
     )
 
