@@ -19,8 +19,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
 from . import __version__
 from .driver import (
     extend_past_edge,
@@ -38,8 +36,10 @@ from .errors import (
 from .geometry import PotentialSpec, admissible_radii
 from .groundstate import expansion_constants, radial_integral, solve_ground_state
 from .interactions import (
+    FIT_RANGE,
     expansion_comparison,
     fit_interaction_law,
+    fit_separations,
     interaction_integral,
 )
 
@@ -75,9 +75,9 @@ class RunConfig:
     correction_tol_h1v: float = 1e-8
     certify_tol_residual: float = 1e-6
     curve_samples: int = 11
-    fit_d_min: float = 8.0
-    fit_d_max: float = 16.0
-    fit_d_step: float = 2.0
+    fit_d_min: float = FIT_RANGE[0]
+    fit_d_max: float = FIT_RANGE[1]
+    fit_d_step: float = FIT_RANGE[2]
     radius_k1: float = 10.0
     probe_seed: int = 0
     output_dir: str = "multibump_out"
@@ -306,8 +306,7 @@ class RunInputs:
     def fit(self):
         """(law, samples): the fitted pair law and its (d, Psi(d)) samples."""
         cfg = self.cfg
-        seps = np.arange(cfg.fit_d_min, cfg.fit_d_max + 0.5 * cfg.fit_d_step,
-                         cfg.fit_d_step)
+        seps = fit_separations(cfg.fit_d_min, cfg.fit_d_max, cfg.fit_d_step)
         samples = [(float(d), interaction_integral(self.profile, float(d)))
                    for d in seps]
         return fit_interaction_law(samples), samples

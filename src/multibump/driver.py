@@ -28,21 +28,26 @@ from scipy.sparse.linalg import splu
 
 from .errors import ContractionError, ConvergenceError, NumericalError, ValidationError
 from .geometry import admissible_radii, correction_window
-from .grid import energy_functional, pde_residual, weak_norm
+from .grid import weak_norm
 # Unused here; bench/layers.py still patches driver.stiffness_matrix.
 # ROADMAP item 7 (counters inside the package) removes the import.
 from .grid import stiffness_matrix  # noqa: F401
 from .groundstate import expansion_constants
 from .groundstate import solve_ground_state  # noqa: F401  (traced by bench/layers.py)
-from .interactions import asymptotic_energy, fit_interaction_law, interaction_integral
+from .interactions import (FIT_RANGE, asymptotic_energy, fit_interaction_law,
+                           fit_separations, interaction_integral)
 from .reduction import (
     CorrectionResult,
     build_reduction_context,
     coercivity_probe,
+    newton_correction,
+    require_perturbative,
     riesz_lk,
     solve_correction,
 )
-from .solvers import minres
+# Unused here; bench/layers.py still patches driver.minres.
+# ROADMAP item 7 (counters inside the package) removes the import.
+from .solvers import minres  # noqa: F401
 
 __all__ = [
     "ReducedEnergyResult",
@@ -62,127 +67,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _fill_defaults(profile, potential, constants, law, need_law):
     """(constants, law) with the omitted ones computed: A and B1 from the
-    profile, and, where ``need_law``, the pair law fitted on d in [8, 16]."""
+    profile, and, where ``need_law``, the pair law fitted on the default
+    separations (``interactions.FIT_RANGE``)."""
     if constants is None:
         constants = expansion_constants(profile, potential)
     if law is None and need_law:
-        ds = np.arange(8.0, 16.0 + 1e-9, 2.0)
+        ds = fit_separations(*FIT_RANGE)
         law = fit_interaction_law([(d, interaction_integral(profile, d)) for d in ds])
     return constants, law
-
-
-# A correction is only meaningful while it stays perturbative; past this
-# fraction of the ansatz norm the constrained critical point belongs to a
-# different branch and its energy must not enter the reduced curve.
-_PERTURBATIVE_FRACTION = 0.25
-
-
-def _cap(ctx):
-    return _PERTURBATIVE_FRACTION * ctx.norm(ctx.w_ansatz)
-
-
-def _beyond_cap(norm, cap, r):
-    return ContractionError(
-        "correction of size %.3f exceeds the perturbative cap %.3f; "
-        "the ansatz at r=%.4f has no small correction" % (norm, cap, r)
-    )
-
-
-def _newton_correction(ctx, tol=1e-8, max_outer=40):
-    """Inexact damped Newton iteration for the projected correction equation.
-
-    Fallback used where the plain fixed-point map stops contracting
-    (strongly overlapping bumps).  Each step solves the Hessian system
-    by MINRES to the forcing term max(1e-10, min(0.1, |g|^(1/2)))
-    relative to the projected gradient g (Eisenstat & Walker 1996),
-    then backtracks on |g|.  The gradient l + P(v - G^-1(mass v +
-    w cubic)) costs one Gram solve.
-
-    Refusals come early: ContractionError once a full step (alpha = 1)
-    cuts |g| fourfold with |phi| - |step| above the perturbative cap
-    (the limit then lies within |step| of phi; Deuflhard 2004, 2.1),
-    ConvergenceError once |g| falls by under 10% in 8 accepted steps.
-    """
-    w = ctx.weights
-    l_flat = riesz_lk(ctx).field
-    phi = np.zeros_like(l_flat)
-    wb = ctx.w_ansatz
-    p = ctx.exponent
-    cap = _cap(ctx)
-
-    def grad(v):
-        u = wb + v
-        cubic = np.abs(u) ** (p - 1.0) * u - wb**p - p * wb ** (p - 1.0) * v
-        dual = ctx._mass_diag * v + w * cubic
-        return l_flat + ctx.project_orth(v - ctx.gram_solver.solve(dual))
-
-    g = grad(phi)
-    g_norm = ctx.norm(g)
-    g_history = [g_norm]
-    ratios = []
-    prev_step = None
-    for outer in range(1, max_outer + 1):
-        if g_norm <= tol:
-            return CorrectionResult(
-                phi=phi,
-                norm=ctx.norm(phi),
-                iterations=outer - 1,
-                ratios=ratios,
-                residual=g_norm,
-                constraint_value=ctx.constraint_value(phi),
-            )
-        coef = w * p * np.abs(wb + phi) ** (p - 1.0)
-
-        def hess(v):
-            return ctx.project_orth(v - ctx.gram_solver.solve(coef * v))
-
-        sol = minres(
-            hess,
-            ctx.project_orth(-g),
-            ctx.gram,
-            rtol=max(1e-10, min(0.1, math.sqrt(g_norm))),
-            maxiter=800,
-            project=ctx.project_orth,
-        )
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-6:
-            trial = phi + alpha * sol.x
-            g_trial = grad(trial)
-            g_trial_norm = ctx.norm(g_trial)
-            if g_trial_norm < (1.0 - 0.25 * alpha) * g_norm:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                "projected newton line search stalled; no nearby correction",
-                iterations=outer,
-                residual=g_norm,
-            )
-        step = alpha * ctx.norm(sol.x)
-        if prev_step is not None and prev_step > 0.0:
-            ratios.append(step / prev_step)
-        prev_step = step
-        if alpha == 1.0 and g_trial_norm <= 0.25 * g_norm:
-            lower = ctx.norm(trial) - step
-            if lower > cap:
-                raise _beyond_cap(lower, cap, ctx.r)
-        phi = trial
-        g = g_trial
-        g_norm = g_trial_norm
-        g_history.append(g_norm)
-        if len(g_history) > 8 and g_norm > 0.9 * g_history[-9]:
-            raise ConvergenceError(
-                "projected newton stagnated; no nearby correction",
-                iterations=outer,
-                residual=g_norm,
-            )
-    raise ConvergenceError(
-        "projected newton did not reach tolerance",
-        iterations=max_outer,
-        residual=g_norm,
-    )
 
 
 def _solve_with_rescue(ctx, tol=1e-8):
@@ -198,10 +90,8 @@ def _solve_with_rescue(ctx, tol=1e-8):
     try:
         corr, method = solve_correction(ctx, tol=tol), "picard"
     except (ContractionError, ConvergenceError):
-        corr, method = _newton_correction(ctx, tol=tol), "newton"
-    cap = _cap(ctx)
-    if corr.norm > cap:
-        raise _beyond_cap(corr.norm, cap, ctx.r)
+        corr, method = newton_correction(ctx, tol=tol), "newton"
+    require_perturbative(ctx, corr.norm)
     return corr, method
 
 
@@ -241,7 +131,7 @@ def reduced_energy(
     """Evaluate F(r) together with its asymptotic prediction.
 
     Where the contraction fails, the damped-Newton rescue
-    (``_newton_correction``) takes over.
+    (``reduction.newton_correction``) takes over.
 
     Parameters
     ----------
@@ -267,8 +157,7 @@ def reduced_energy(
     ctx = build_reduction_context(profile, potential, k, r, h=h, margin=margin)
     corr, method = _solve_with_rescue(ctx, tol=tol)
     return ReducedEnergyResult(
-        value=energy_functional(ctx.grid, ctx.w_ansatz + corr.phi, ctx.gram,
-                                ctx.exponent),
+        value=ctx.energy(corr.phi),
         asymptotic=asymptotic_energy(k, r, constants, law, potential.m),
         correction=corr,
         method=method,
@@ -326,7 +215,7 @@ def _same(a, b):
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedEnergyCurve:
     """Sampled reduced energy over the admissible window.
 
@@ -587,7 +476,7 @@ def extend_past_edge(curve, refine_frac=1e-3):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertifiedSolution:
     """Polished solution of the discrete equation with its certificate.
 
@@ -674,7 +563,7 @@ def polish_and_certify(
 
     At a fixed radius r, Newton solves res(u) = lambda q_r with
     q_r . (u - W_r) = 0, where res(u) = G u - area |u|^(p-1) u and q_r
-    is the correction's constraint density (``ReductionContext._q``).
+    is the correction's constraint density (``ReductionContext.q``).
     Each step eliminates the border by solves with a sparse LU of
     J = G - diag(area p |u|^(p-1)) (Keller 1977), kept while each step
     at least halves the residual (chord Newton; Kelley 2003): one solve
@@ -724,7 +613,7 @@ def polish_and_certify(
     Pick tol at or above the floor for that degenerate case.
     """
     base = build_reduction_context(profile, potential, k, r_k, h=h, margin=margin)
-    grid, gram, p = base.grid, base.gram, base.exponent
+    grid = base.grid
     v = np.zeros(grid.n_cells) if phi is None else np.asarray(phi, dtype=float).reshape(-1)
     if v.size != grid.n_cells:
         raise ValidationError(
@@ -735,16 +624,16 @@ def polish_and_certify(
     def constrained_newton(ctx, v, lam):
         """(v, lambda) with res(W + v) = lambda q and q . v = 0 at ctx.r."""
         nonlocal lu, steps
-        q = ctx._q
+        q = ctx.q
         y = None  # J^-1 q, fixed while the factor and the radius are
-        g = pde_residual(grid, ctx.w_ansatz + v, gram, p)[0] - lam * q
+        g = ctx.residual(v)[0] - lam * q
         g_norm = weak_norm(grid, g)
         while True:
             if lu is None:
                 if steps >= max_steps:
                     raise ConvergenceError("newton polish hit the factorization cap",
                                            iterations=steps, residual=g_norm)
-                jac = gram - sp.diags(base.weights * p * np.abs(ctx.w_ansatz + v) ** (p - 1.0))
+                jac = ctx.gram - sp.diags(ctx.second_variation(v))
                 lu = splu(jac.tocsc())
                 steps += 1
                 y = None
@@ -754,7 +643,7 @@ def polish_and_certify(
             dlam = -(q @ v + q @ x) / (q @ y)
             v = v + x + dlam * y
             lam += dlam
-            g = pde_residual(grid, ctx.w_ansatz + v, gram, p)[0] - lam * q
+            g = ctx.residual(v)[0] - lam * q
             g_new = weak_norm(grid, g)
             if not g_new < math.inf:
                 raise ConvergenceError("newton polish diverged at r=%.6f" % ctx.r)
@@ -765,7 +654,7 @@ def polish_and_certify(
                 return v, lam
 
     ctx, lam, tried = base, 0.0, []
-    _, rn = pde_residual(grid, ctx.w_ansatz + v, gram, p)
+    _, rn = ctx.residual(v)
     while rn > tol:
         if tried:
             if k == 1 or len(tried) > max_steps:
@@ -778,7 +667,7 @@ def polish_and_certify(
                                           reuse=base)
         v, lam = constrained_newton(ctx, v, lam)
         tried.append((ctx.r, lam))
-        _, rn = pde_residual(grid, ctx.w_ansatz + v, gram, p)
+        _, rn = ctx.residual(v)
 
     u = ctx.w_ansatz + v
     u_min = float(u.min())
@@ -798,7 +687,7 @@ def polish_and_certify(
         k=k,
         r_k=ctx.r,
         steps=steps,
-        energy=energy_functional(grid, u, gram, p),
+        energy=ctx.energy(v),
         multiplier=float(lam),
     )
 
@@ -891,8 +780,7 @@ def _study_row(sampler, curve, beta, n_samples, seed, radius_k1):
         phi_norm=corr.norm,
         l_norm=riesz_lk(ctx).norm,
         rho_hat=coercivity_probe(ctx, seed=seed),
-        f_over_k=(energy_functional(ctx.grid, ctx.w_ansatz + corr.phi, ctx.gram,
-                                    ctx.exponent) if single else curve.f_max / k),
+        f_over_k=ctx.energy(corr.phi) if single else curve.f_max / k,
         interior=single or curve.interior,
     )
 

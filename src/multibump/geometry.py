@@ -82,7 +82,7 @@ def admissible_radii(k: int, m: float, beta: float = 0.1) -> AdmissibleInterval:
                               upper=(center + beta) * scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BumpConfiguration:
     """k bump centers on the ring of radius r."""
 

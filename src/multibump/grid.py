@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorGrid:
     """Cell-centered polar grid on the wedge [0, pi/k] x [0, r_out].
 

@@ -78,7 +78,7 @@ def _radial_rhs(dimension, exponent):
     return rhs
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialProfile:
     """Sampled radial ground state with far-field continuation.
 

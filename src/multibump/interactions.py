@@ -42,6 +42,7 @@ __all__ = [
     "ExpansionTable",
     "interaction_integral",
     "fit_interaction_law",
+    "fit_separations",
     "single_bump_energy_report",
     "asymptotic_energy",
     "expansion_comparison",
@@ -131,6 +132,16 @@ def interaction_integral(profile, d):
         ang = profile(dist) @ weights
         return float(2.0 * np.pi * simpson(us_p * ang * s * s, x=s))
     raise ValidationError(f"unsupported dimension {dim}")
+
+
+# (first, last, step) of the separations the pair law is fitted on: the
+# run config's defaults and the fit made where a caller gives no law.
+FIT_RANGE = (8.0, 16.0, 2.0)
+
+
+def fit_separations(d_min, d_max, d_step):
+    """The separations d_min, d_min + d_step, ... up to d_max."""
+    return np.arange(d_min, d_max + 0.5 * d_step, d_step)
 
 
 def fit_interaction_law(samples):
@@ -226,7 +237,7 @@ def free_energy_quadrature(profile):
     return float(SPHERE_MEASURE[dim] * simpson(dens * s ** (dim - 1), x=s))
 
 
-@dataclass
+@dataclass(eq=False)
 class SingleBumpReport:
     """Energy of one bump at radius r against the A + B1/r^m prediction."""
 

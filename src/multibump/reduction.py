@@ -1,12 +1,16 @@
-"""Constrained correction solve around the k-bump ansatz.
+"""Constrained correction problem around the k-bump ansatz.
 
 Writing u = W_r + phi with phi in the constrained space
 
     E = { v symmetric : c(v) = integral of U_{x1}^{p-1} Z_1 v = 0 },
 
 the energy expands as J(phi) = J(0) + l(phi) + <L phi, phi>/2 - R(phi),
-and the correction solves the projected equation l_k + L phi = R'(phi)
-by a contraction iteration.  Everything here acts on flat arrays of
+and the correction solves the projected equation l_k + L phi = R'(phi).
+``ReductionContext`` holds every formula of that equation: the
+projected gradient, the linearization, the second variation, the
+action and the discrete residual.  Two solvers act on it: a
+contraction iteration, and an inexact Newton rescue for where the
+contraction stops.  Everything here acts on flat arrays of
 sector cell values; the weighted H^1 inner product is carried by the
 sparse Gram operator G = K + diag(area * V), whose separable solver
 (``grid.gram_solver``: an orthonormal DCT-II matrix product in theta,
@@ -32,6 +36,7 @@ the Krylov solver and the eigenvalue probe rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,35 +47,26 @@ from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import ContractionError, ConvergenceError, ValidationError
 from .geometry import bump_terms, correction_window, place_bumps
-from .grid import build_aligned_sector_grid, gram_solver, stiffness_matrix
+from .grid import (build_aligned_sector_grid, energy_functional, gram_solver,
+                   pde_residual, stiffness_matrix)
 from .solvers import lanczos_smallest, minres
 
 __all__ = [
     "ReductionContext",
-    "ConstraintSpec",
     "RieszReport",
     "CorrectionResult",
     "build_reduction_context",
     "riesz_lk",
     "coercivity_probe",
     "solve_correction",
+    "newton_correction",
+    "require_perturbative",
 ]
 
-
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Sector data of the constraint functional c(v) = int U^{p-1} Z_1 v.
-
-    Attributes
-    ----------
-    z_direction : ndarray
-        The field Z = dW/dr, the soft ring-translation direction.
-    gamma : float
-        c(Z), the pairing of the constraint with the Z direction.
-    """
-
-    z_direction: np.ndarray
-    gamma: float
+# A correction is only meaningful while it stays perturbative; past this
+# fraction of the ansatz norm the constrained critical point belongs to a
+# different branch and its energy must not enter the reduced curve.
+_PERTURBATIVE_FRACTION = 0.25
 
 
 class ReductionContext:
@@ -101,19 +97,19 @@ class ReductionContext:
         weights, potential values, assembled Gram matrix and Gram
         solver are shared instead of rebuilt, which makes a radius scan
         on one grid cheap in time and memory.
+
+    Attributes
+    ----------
+    w_ansatz : ndarray
+        The ansatz W_r.
+    z_direction : ndarray
+        The field Z = dW/dr, the soft ring-translation direction.
+    q : ndarray
+        The constraint density: c(v) = 2k q . v.
     """
 
-    def __init__(
-        self,
-        profile,
-        potential,
-        k,
-        r,
-        h=0.1,
-        margin=15.0,
-        grid=None,
-        reuse=None,
-    ):
+    def __init__(self, profile, potential, k, r, h=0.1, margin=15.0, grid=None,
+                 reuse=None):
         if k < 1 or k != int(k):
             raise ValidationError(f"bump count must be a positive integer, got {k}")
         k = int(k)
@@ -152,8 +148,9 @@ class ReductionContext:
         self.w_ansatz = w_sum
         self.sum_up = sum_up
         self.exponent = p
-        # Dual of v -> p int W^{p-1} v (.), one diagonal entry per cell.
-        self._mass_diag = self.weights * (p * w_sum ** (p - 1.0))
+        self.z_direction = z_dir
+        # The second variation at W: apply_l_operator's default linearization.
+        self._mass_diag = self.second_variation(0.0)
 
         if shared:
             self.gram = reuse.gram
@@ -164,17 +161,14 @@ class ReductionContext:
             self.gram = stiffness_matrix(g) + sp.diags(self.weights * self.v_values)
             self.gram_solver = gram_solver(g, potential)
 
-        q = self.weights * wc
-        gamma = 2.0 * k * float(q @ z_dir)
-        if abs(gamma) < 1e-30:
+        self.q = self.weights * wc
+        if abs(2.0 * k * float(self.q @ z_dir)) < 1e-30:
             raise ValidationError(
                 "constraint pairing with the Z direction vanished; "
                 "degenerate profile or radius"
             )
-        self.constraint = ConstraintSpec(z_direction=z_dir, gamma=gamma)
-        self._q = q
-        self._z_orth = self.gram_solver.solve(q)
-        self._cz_orth = 2.0 * k * float(q @ self._z_orth)
+        self._z_orth = self.gram_solver.solve(self.q)
+        self._cz_orth = 2.0 * k * float(self.q @ self._z_orth)
 
     # -- inner product and constraint -------------------------------------
 
@@ -187,28 +181,55 @@ class ReductionContext:
 
     def constraint_value(self, v):
         """c(v), the full-space pairing of v with U_{x1}^{p-1} Z_1."""
-        return 2.0 * self.k * float(self._q @ v)
-
-    # -- projection ----------------------------------------------------------
+        return 2.0 * self.k * float(self.q @ v)
 
     def project_orth(self, v):
         """H^1_V-orthogonal projection onto E (keeps operators symmetric)."""
         c = self.constraint_value(v)
         return v - (c / self._cz_orth) * self._z_orth
 
-    # -- operator pieces -----------------------------------------------------
+    # -- the correction problem ----------------------------------------------
 
-    def _mass_image(self, v):
-        """Riesz image of v -> p int W^{p-1} v (.)."""
-        return self.gram_solver.solve(self._mass_diag * v)
+    def cap(self):
+        """Largest norm of a perturbative correction: a fixed fraction of |W|."""
+        return _PERTURBATIVE_FRACTION * self.norm(self.w_ansatz)
 
-    def apply_l_operator(self, v):
+    def second_variation(self, phi):
+        """Diagonal of v -> p int |W + phi|^{p-1} v (.), one entry per cell."""
+        p = self.exponent
+        return self.weights * p * np.abs(self.w_ansatz + phi) ** (p - 1.0)
+
+    def apply_l_operator(self, v, diag=None):
         """Image of the linearized-form Riesz operator, projected on E.
 
-        ``v`` must lie in E, as the Krylov iterates and corrections do;
-        the operator then maps E into E and is self-adjoint there.
+        The linearization is taken at W, or at W + phi when ``diag`` is
+        ``second_variation(phi)``.  ``v`` must lie in E, as the Krylov
+        iterates and corrections do; the operator then maps E into E
+        and is self-adjoint there.
         """
-        return self.project_orth(v - self._mass_image(v))
+        d = self._mass_diag if diag is None else diag
+        return self.project_orth(v - self.gram_solver.solve(d * v))
+
+    def gradient(self, l, phi):
+        """Projected gradient l_k + L phi - R'(phi) at W + phi, one Gram solve.
+
+        ``l`` is the field l_k of ``riesz_lk`` and R the remainder beyond
+        quadratic order.  With u = W + phi, L phi - R'(phi) is
+        P(phi - G^-1 area (|u|^p sign(u) - W^p)), exactly zero at phi = 0.
+        """
+        u = self.w_ansatz + phi
+        dual = self.weights * (np.abs(u) ** self.exponent * np.sign(u)
+                               - self.w_ansatz**self.exponent)
+        return l + self.project_orth(phi - self.gram_solver.solve(dual))
+
+    def energy(self, phi):
+        """Action I(W + phi) (``grid.energy_functional``)."""
+        return energy_functional(self.grid, self.w_ansatz + phi, self.gram,
+                                 self.exponent)
+
+    def residual(self, phi):
+        """Weak residual at W + phi and its norm (``grid.pde_residual``)."""
+        return pde_residual(self.grid, self.w_ansatz + phi, self.gram, self.exponent)
 
 
 def build_reduction_context(profile, potential, k, r, **kwargs):
@@ -216,7 +237,7 @@ def build_reduction_context(profile, potential, k, r, **kwargs):
     return ReductionContext(profile, potential, k, r, **kwargs)
 
 
-@dataclass
+@dataclass(eq=False)
 class RieszReport:
     """Riesz representative of the energy's first variation at W.
 
@@ -292,20 +313,7 @@ def coercivity_probe(ctx, seed=0):
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _remainder_gradient(ctx, phi):
-    """R'(phi) for the remainder beyond quadratic order,
-
-    R(phi) = 1/(p+1) int (|W+phi|^{p+1} - W^{p+1} - (p+1) W^p phi
-    - (p+1)p/2 W^{p-1} phi^2): its Riesz representative, projected into E.
-    """
-    w = ctx.w_ansatz
-    p = ctx.exponent
-    tot = w + phi
-    dual = ctx.weights * (np.abs(tot) ** p * np.sign(tot) - w**p) - ctx._mass_diag * phi
-    return ctx.project_orth(ctx.gram_solver.solve(dual))
-
-
-@dataclass
+@dataclass(eq=False)
 class CorrectionResult:
     """Converged correction phi with its run record.
 
@@ -316,7 +324,7 @@ class CorrectionResult:
     norm : float
         H^1_V norm of phi.
     iterations : int
-        Outer fixed-point iterations performed.
+        Outer iterations performed.
     ratios : list of float
         Successive update-norm ratios (contraction measurements).
     residual : float
@@ -331,6 +339,22 @@ class CorrectionResult:
     ratios: list
     residual: float
     constraint_value: float
+
+
+def _converged(ctx, phi, iterations, ratios, residual):
+    return CorrectionResult(phi=phi, norm=ctx.norm(phi), iterations=iterations,
+                            ratios=ratios, residual=residual,
+                            constraint_value=ctx.constraint_value(phi))
+
+
+def require_perturbative(ctx, norm):
+    """Raise ContractionError when a correction of ``norm`` exceeds ``ctx.cap()``."""
+    cap = ctx.cap()
+    if norm > cap:
+        raise ContractionError(
+            "correction of size %.3f exceeds the perturbative cap %.3f; "
+            "the ansatz at r=%.4f has no small correction" % (norm, cap, ctx.r)
+        )
 
 
 def solve_correction(ctx, tol=1e-8):
@@ -368,25 +392,18 @@ def solve_correction(ctx, tol=1e-8):
     l_flat = rep.field
     phi = np.zeros_like(l_flat)
     if rep.norm == 0.0:
-        return CorrectionResult(
-            phi=phi,
-            norm=0.0,
-            iterations=1,
-            ratios=[],
-            residual=0.0,
-            constraint_value=0.0,
-        )
+        return _converged(ctx, phi, 1, [], 0.0)
 
     ratios = []
     prev_update = None
     bad_ratio_streak = 0
-    r_grad = _remainder_gradient(ctx, phi)
-    gap = l_flat - r_grad
+    l_phi = phi  # L phi, zero at phi = 0
+    gap = ctx.gradient(l_flat, phi)
     residual = ctx.norm(gap)
     for outer in range(1, 31):
         # The accuracy a solve of L phi_new = -(l_k - R'(phi)) from zero
         # reaches, asked of the update's equation L d = -gap instead.
-        target = 1e-11 * ctx.norm(l_flat - r_grad)
+        target = 1e-11 * ctx.norm(gap - l_phi)
         if residual <= target:
             d = np.zeros_like(phi)
         else:
@@ -399,11 +416,9 @@ def solve_correction(ctx, tol=1e-8):
                 project=ctx.project_orth,
             )
             if not sol.converged:
-                raise ConvergenceError(
-                    "inner linear solve did not converge",
-                    iterations=sol.iterations,
-                    residual=sol.residual_norm,
-                )
+                raise ConvergenceError("inner linear solve did not converge",
+                                       iterations=sol.iterations,
+                                       residual=sol.residual_norm)
             d = sol.x
         update = ctx.norm(d)
         if prev_update is not None and prev_update > 0.0:
@@ -419,21 +434,73 @@ def solve_correction(ctx, tol=1e-8):
                 bad_ratio_streak = 0
         prev_update = update
         phi = phi + d
-        # Projected Euler-Lagrange residual; it and R'(phi) feed the next step.
-        r_grad = _remainder_gradient(ctx, phi)
-        gap = l_flat + ctx.apply_l_operator(phi) - r_grad
+        # Projected Euler-Lagrange residual; it and L phi feed the next step.
+        l_phi = ctx.apply_l_operator(phi)
+        gap = ctx.gradient(l_flat, phi)
         residual = ctx.norm(gap)
         if update <= tol and residual <= tol:
-            return CorrectionResult(
-                phi=phi,
-                norm=ctx.norm(phi),
-                iterations=outer,
-                ratios=ratios,
-                residual=residual,
-                constraint_value=ctx.constraint_value(phi),
-            )
-    raise ConvergenceError(
-        "correction iteration ran out of outer steps",
-        iterations=outer,
-        residual=residual,
-    )
+            return _converged(ctx, phi, outer, ratios, residual)
+    raise ConvergenceError("correction iteration ran out of outer steps",
+                           iterations=outer, residual=residual)
+
+
+def newton_correction(ctx, tol=1e-8, max_outer=40):
+    """Inexact damped Newton iteration for the projected correction equation.
+
+    The rescue where the contraction of ``solve_correction`` stops
+    (strongly overlapping bumps).  Each step solves the system of the
+    linearization at W + phi by MINRES to the forcing term max(1e-10,
+    min(0.1, |g|^(1/2))) relative to the projected gradient g
+    (Eisenstat & Walker 1996), then backtracks on |g|; each gradient
+    costs one Gram solve.
+
+    Refusals come early: ContractionError once a full step (alpha = 1)
+    cuts |g| fourfold with |phi| - |step| above ``ctx.cap()`` (the
+    limit then lies within |step| of phi; Deuflhard 2004, 2.1),
+    ConvergenceError once |g| falls by under 10% in 8 accepted steps.
+    """
+    l_flat = riesz_lk(ctx).field
+    phi = np.zeros_like(l_flat)
+    g = ctx.gradient(l_flat, phi)
+    g_norm = ctx.norm(g)
+    g_history = [g_norm]
+    ratios = []
+    prev_step = None
+    for outer in range(1, max_outer + 1):
+        if g_norm <= tol:
+            return _converged(ctx, phi, outer - 1, ratios, g_norm)
+        diag = ctx.second_variation(phi)
+        sol = minres(
+            lambda v: ctx.apply_l_operator(v, diag),
+            ctx.project_orth(-g),
+            ctx.gram,
+            rtol=max(1e-10, min(0.1, math.sqrt(g_norm))),
+            maxiter=800,
+            project=ctx.project_orth,
+        )
+        alpha = 1.0
+        while alpha > 1e-6:
+            trial = phi + alpha * sol.x
+            g_trial = ctx.gradient(l_flat, trial)
+            g_trial_norm = ctx.norm(g_trial)
+            if g_trial_norm < (1.0 - 0.25 * alpha) * g_norm:
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError("projected newton line search stalled; no nearby "
+                                   "correction", iterations=outer, residual=g_norm)
+        step = alpha * ctx.norm(sol.x)
+        if prev_step is not None and prev_step > 0.0:
+            ratios.append(step / prev_step)
+        prev_step = step
+        if alpha == 1.0 and g_trial_norm <= 0.25 * g_norm:
+            require_perturbative(ctx, ctx.norm(trial) - step)
+        phi = trial
+        g = g_trial
+        g_norm = g_trial_norm
+        g_history.append(g_norm)
+        if len(g_history) > 8 and g_norm > 0.9 * g_history[-9]:
+            raise ConvergenceError("projected newton stagnated; no nearby correction",
+                                   iterations=outer, residual=g_norm)
+    raise ConvergenceError("projected newton did not reach tolerance",
+                           iterations=max_outer, residual=g_norm)

@@ -26,7 +26,7 @@ __all__ = ["MinresResult", "minres", "lanczos_smallest"]
 RITZ_RTOL = 1e-8  # Lanczos stops at Ritz residual bound <= RITZ_RTOL |theta|
 
 
-@dataclass
+@dataclass(eq=False)
 class MinresResult:
     """Outcome of a MINRES solve.
 

@@ -5,6 +5,8 @@ ground state U the Nehari identity int |grad U|^2 + U^2 = int U^{p+1}
 holds exactly, and the action value is the expansion constant A.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.fft import dct
@@ -245,3 +247,12 @@ def test_residual_shrinks_under_refinement(profile2d, free_potential):
         _, norm = pde_residual(g, u, gram_matrix(g, free_potential), 3.0)
         norms.append(norm)
     assert norms[1] <= norms[0] / 3.0
+
+
+def test_a_pickled_grid_compares_without_raising():
+    """== on grids is identity: a pickled copy is another grid, and no error."""
+    g = build_sector_grid(6, 12.0, 0.5)
+    copy = pickle.loads(pickle.dumps(g))
+    assert np.array_equal(copy.rho, g.rho)
+    assert (g == copy) is False
+    assert g == g

@@ -250,3 +250,15 @@ def test_profile_kernel_refuses_uneven_nodes(profile2d):
                            profile2d.far_field_amplitude)
     with pytest.raises(ValidationError, match="uniformly spaced"):
         uneven(1.0)
+
+
+def test_equal_profiles_compare_without_raising():
+    """== on profiles is identity: equal node arrays must not make it raise."""
+    s = np.linspace(0.0, 1.0, 5)
+
+    def make():
+        return RadialProfile(2, 3.0, s.copy(), np.exp(-s), -np.exp(-s), 1.0)
+
+    a = make()
+    assert a == a
+    assert (a == make()) is False

@@ -1,19 +1,23 @@
 """Every name a module exports through ``__all__``, or the benchmark's
-trace patches, exists."""
+trace patches, exists; and two package-wide rules on the classes."""
 
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
+import re
 import sys
 
 import multibump
 
 
+def _package_modules():
+    return [importlib.import_module(f"multibump.{info.name}")
+            for info in pkgutil.iter_modules(multibump.__path__)]
+
+
 def test_every_exported_name_resolves():
-    modules = [multibump] + [
-        importlib.import_module(f"multibump.{info.name}")
-        for info in pkgutil.iter_modules(multibump.__path__)
-    ]
+    modules = [multibump] + _package_modules()
     missing = [
         f"{module.__name__}.{name}"
         for module in modules
@@ -27,8 +31,7 @@ def test_package_exports_every_name_it_imports_from_a_submodule():
     """A name the package imports from a submodule's ``__all__`` is in
     ``multibump.__all__``, so ``from multibump import *`` binds it."""
     unexported = []
-    for info in pkgutil.iter_modules(multibump.__path__):
-        module = importlib.import_module(f"multibump.{info.name}")
+    for module in _package_modules():
         unexported += [
             f"{module.__name__}.{name}"
             for name in getattr(module, "__all__", ())
@@ -63,3 +66,33 @@ def test_every_traced_name_resolves():
         if not hasattr(module, attr)
     ]
     assert missing == []
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    """A dataclass with an ndarray field keeps object's ==, which never raises;
+    the generated field-wise == raises on two equal but distinct arrays."""
+    field_wise = [
+        f"{module.__name__}.{name}"
+        for module in _package_modules()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))
+        and obj.__eq__ is not object.__eq__
+    ]
+    assert field_wise == []
+
+
+def test_no_module_reads_a_private_attribute_of_the_reduction_context():
+    """The underscore attributes ``ReductionContext`` sets stay inside
+    ``reduction``; other modules use its public methods."""
+    src = pathlib.Path(multibump.__file__).parent
+    private = set(re.findall(r"self\.(_\w+)\s*=(?!=)", (src / "reduction.py").read_text()))
+    assert private
+    readers = [
+        f"{path.name} reads .{name}"
+        for path in sorted(src.glob("*.py")) if path.name != "reduction.py"
+        for name in sorted(private)
+        if re.search(rf"\.{name}\b", path.read_text())
+    ]
+    assert readers == []

@@ -21,7 +21,6 @@ from multibump import (
     solve_correction,
 )
 from multibump import eval_ansatz, place_bumps, reduction
-from multibump.reduction import _remainder_gradient
 from multibump.solvers import minres
 
 
@@ -102,8 +101,14 @@ def test_riesz_potential_part_linear_in_amplitude(profile2d, potential):
     assert rep2.interaction_norm == pytest.approx(rep1.interaction_norm, rel=1e-10)
 
 
+def remainder_gradient(ctx, l_k, phi):
+    """R'(phi) = l_k + L phi - (the projected gradient at W + phi)."""
+    return l_k + ctx.apply_l_operator(phi) - ctx.gradient(l_k, phi)
+
+
 def test_remainder_vanishes_at_zero(ctx8):
-    grad = _remainder_gradient(ctx8, np.zeros(ctx8.grid.n_cells))
+    l_k = riesz_lk(ctx8).field
+    grad = remainder_gradient(ctx8, l_k, np.zeros(ctx8.grid.n_cells))
     assert ctx8.norm(grad) == 0.0
 
 
@@ -132,13 +137,26 @@ def test_late_correction_steps_solve_for_the_update(ctx8, monkeypatch):
     assert iterations[-1] <= iterations[0] / 2
 
 
+@pytest.mark.parametrize("k, where", [(6, "upper"), (8, "midpoint"), (12, "midpoint")])
+def test_contraction_and_rescue_land_on_one_correction(profile2d, potential, k, where):
+    """Where both solvers converge they solve one equation, so they agree
+    on phi and on the energy to well within the tolerance."""
+    r = getattr(admissible_radii(k, potential.m, beta=0.1), where)
+    ctx = build_reduction_context(profile2d, potential, k, r, h=0.2)
+    picard = solve_correction(ctx, tol=1e-8)
+    newton = reduction.newton_correction(ctx, tol=1e-8)
+    assert ctx.norm(picard.phi - newton.phi) <= 1e-8
+    f_picard = ctx.energy(picard.phi)
+    assert abs(f_picard - ctx.energy(newton.phi)) <= 1e-10 * abs(f_picard)
+
+
 def test_a_posteriori_norm_bound(ctx8):
     """Coercivity turns the solved equation into a bound on phi."""
     corr = solve_correction(ctx8, tol=1e-8)
     rep = riesz_lk(ctx8)
     rho = coercivity_probe(ctx8, seed=0)
     assert rho > 0.0
-    r_grad = _remainder_gradient(ctx8, corr.phi)
+    r_grad = remainder_gradient(ctx8, rep.field, corr.phi)
     bound = 2.0 * (rep.norm + ctx8.norm(r_grad)) / rho
     assert corr.norm <= bound
 
@@ -154,8 +172,9 @@ def test_coercivity_probe_matches_the_dense_pencil(profile2d, potential):
     ctx = build_reduction_context(profile2d, potential, 6, window.midpoint, h=0.5)
     assert ctx.grid.n_cells <= 600
     gram = ctx.gram.toarray()
-    basis = scipy.linalg.null_space(ctx._q[None, :])
-    mu = scipy.linalg.eigh(basis.T @ (gram - np.diag(ctx._mass_diag)) @ basis,
+    basis = scipy.linalg.null_space(ctx.q[None, :])
+    mass = ctx.second_variation(0.0)
+    mu = scipy.linalg.eigh(basis.T @ (gram - np.diag(mass)) @ basis,
                            basis.T @ gram @ basis, eigvals_only=True)
     assert coercivity_probe(ctx, seed=0) == pytest.approx(np.abs(mu).min(), rel=1e-8)
 
@@ -197,7 +216,7 @@ def test_constraint_direction_is_the_radius_derivative_of_the_ansatz(
     delta = 1e-5
     w = [build_reduction_context(profile2d, potential, 6, 4.2 + s * delta, h=0.2,
                                  grid=ctx6.grid, reuse=ctx6).w_ansatz for s in (1, -1)]
-    np.testing.assert_allclose(ctx6.constraint.z_direction, (w[0] - w[1]) / (2 * delta),
+    np.testing.assert_allclose(ctx6.z_direction, (w[0] - w[1]) / (2 * delta),
                                rtol=0.0, atol=1e-8)
 
 
