@@ -19,7 +19,6 @@ the interiority flag stays False for a boundary argmax.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -166,13 +165,13 @@ def reduced_energy(
 
 @dataclass(frozen=True, eq=False)
 class _Sampler:
-    """r -> (F(r), asymptotic value, method) at one curve's fixed settings.
+    """r -> (F(r), asymptotic value) at one curve's fixed settings.
 
     Each sample is a ``reduced_energy`` solve, or the caller's
-    ``evaluator`` (asymptotic value nan, method "formula"); where no
-    correction could be computed it is (-inf, nan, None).  Samplers are
-    equal when all their settings are, the profile compared by value, so
-    a copy pickled to a worker equals its original.
+    ``evaluator`` (asymptotic value nan); where no correction could be
+    computed it is (-inf, nan).  Samplers are equal when all their
+    settings are, the profile compared by value, so a copy pickled to a
+    worker equals its original.
     """
 
     profile: object
@@ -188,13 +187,13 @@ class _Sampler:
     def __call__(self, r):
         try:
             if self.evaluator is not None:
-                return float(self.evaluator(r)), math.nan, "formula"
+                return float(self.evaluator(r)), math.nan
             res = reduced_energy(self.profile, self.potential, self.k, r,
                                  constants=self.constants, law=self.law, h=self.h,
                                  tol=self.tol, margin=self.margin)
-            return float(res.value), res.asymptotic, res.method
+            return float(res.value), res.asymptotic
         except (ContractionError, ConvergenceError, NumericalError, ValidationError):
-            return -math.inf, math.nan, None
+            return -math.inf, math.nan
 
     def value(self, r):
         return self(r)[0]
@@ -226,8 +225,6 @@ class ReducedEnergyCurve:
         Scan samples where the correction solve succeeded.
     asymptotics : ndarray
         Matching asymptotic predictions (nan in evaluator mode).
-    methods : tuple of str
-        Solver used per sample.
     failed_radii : tuple of float
         Scan radii where no correction could be computed; empty in
         the asymptotic regime, populated at desk scale for small k
@@ -247,7 +244,7 @@ class ReducedEnergyCurve:
         True when the boundary-argmax continuation stepped past the
         upper window edge; r_max then lies outside [lower, upper].
     sampler : callable
-        The F that was sampled, r -> (F(r), asymptotic value, method),
+        The F that was sampled, r -> (F(r), asymptotic value),
         with the search's settings as attributes.
     """
 
@@ -255,7 +252,6 @@ class ReducedEnergyCurve:
     radii: np.ndarray
     values: np.ndarray
     asymptotics: np.ndarray
-    methods: tuple
     failed_radii: tuple
     r_max: float
     f_max: float
@@ -357,7 +353,7 @@ def maximize_reduced_energy(
 
     rs = np.linspace(window.lower, window.upper, n_samples)
     scan = [(r,) + sampler(r) for r in rs]
-    vals = np.array([f for _, f, _, _ in scan])
+    vals = np.array([f for _, f, _ in scan])
     ok = np.isfinite(vals)
     if not ok.any():
         raise ConvergenceError(f"no window sample admitted a correction for k={k}")
@@ -382,20 +378,19 @@ def maximize_reduced_energy(
 
 
 def _curve(sampler, lower, upper, step, r_max, f_max, samples, failed_radii):
-    """ReducedEnergyCurve of the (r, F, asymptotic, method) ``samples`` on
+    """ReducedEnergyCurve of the (r, F, asymptotic) ``samples`` on
     the window [lower, upper] scanned at ``step``.
 
     The argmax is interior when it keeps at least one step from both
     window ends and extended when it lies past the upper end.
     """
-    radii, values, asymptotics, methods = zip(*samples)
+    radii, values, asymptotics = zip(*samples)
     k = sampler.k
     return ReducedEnergyCurve(
         k=k,
         radii=np.array(radii),
         values=np.array(values),
         asymptotics=np.array(asymptotics),
-        methods=methods,
         failed_radii=failed_radii,
         r_max=float(r_max),
         f_max=float(f_max),
@@ -455,9 +450,9 @@ def extend_past_edge(curve, refine_frac=1e-3):
     ext = []
     while math.isfinite(f_cur) and r_cur < slack.upper - 1e-9:
         r_next = min(r_cur + step, slack.upper)
-        f_next, asymptotic, method = sampler(r_next)
+        f_next, asymptotic = sampler(r_next)
         if math.isfinite(f_next):
-            ext.append((r_next, f_next, asymptotic, method))
+            ext.append((r_next, f_next, asymptotic))
         if not math.isfinite(f_next) or f_next <= f_cur:
             break
         r_prev, r_cur, f_cur = r_cur, r_next, f_next
@@ -471,7 +466,7 @@ def extend_past_edge(curve, refine_frac=1e-3):
             r_max, f_max = r_ref, f_ref
     return _curve(
         sampler, lower, upper, step, r_max, f_max,
-        list(zip(curve.radii, curve.values, curve.asymptotics, curve.methods)) + ext,
+        list(zip(curve.radii, curve.values, curve.asymptotics)) + ext,
         curve.failed_radii,
     )
 
@@ -869,6 +864,8 @@ def scaling_study(
         args.append((sampler, curve, beta, n_samples, seed, radius_k1))
     workers = min(jobs, len(args))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_study_row_remote, args))
     else:

@@ -30,8 +30,8 @@ which beats an FFT and its transposed copies.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,18 +108,15 @@ class SectorGrid:
     def to_csv(self, values):
         """CSV text of cell ``values``: a header comment, then rho,theta,value rows."""
         values = np.reshape(values, self.shape)
-        buf = io.StringIO()
-        buf.write(
+        rhos = [f"{x:.17e}," for x in self.rho.tolist()]
+        thetas = [f"{x:.17e}," for x in self.theta.tolist()]
+        cells = map("{:.17e}\n".format, values.ravel().tolist())
+        rows = (rho + theta + cell for (rho, theta), cell in zip(product(rhos, thetas), cells))
+        return (
             f"# k={self.k} r_out={self.r_out:.17e} "
             f"n_rho={self.n_rho} n_theta={self.n_theta}\n"
+            "rho,theta,value\n" + "".join(rows)
         )
-        buf.write("rho,theta,value\n")
-        for i in range(self.n_rho):
-            for j in range(self.n_theta):
-                buf.write(
-                    f"{self.rho[i]:.17e},{self.theta[j]:.17e},{values[i, j]:.17e}\n"
-                )
-        return buf.getvalue()
 
 
 def build_sector_grid(k, r_out, h, r_max=None):

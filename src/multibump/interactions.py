@@ -117,12 +117,15 @@ def interaction_integral(profile, d):
     s = _simpson_nodes(0.0, s_hi, 0.025)
     us_p = profile(s) ** p
     if dim == 2:
+        # The 256-angle trapezoid sum over [0, 2 pi), folded onto [0, pi]
+        # by the evenness of the integrand in w: the ends count once.
         n_w = 256
-        w = 2.0 * np.pi * np.arange(n_w) / n_w
+        w = 2.0 * np.pi * np.arange(n_w // 2 + 1) / n_w
         dist = np.sqrt(
             s[:, None] ** 2 + d * d - 2.0 * d * s[:, None] * np.cos(w)[None, :]
         )
-        ang = profile(dist).sum(axis=1) * (2.0 * np.pi / n_w)
+        u = profile(dist)
+        ang = (2.0 * u.sum(axis=1) - u[:, 0] - u[:, -1]) * (2.0 * np.pi / n_w)
         return float(simpson(us_p * ang * s, x=s))
     if dim == 3:
         nodes, weights = leggauss(48)

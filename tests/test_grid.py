@@ -80,6 +80,18 @@ def test_field_csv_header():
     assert len(lines) == 2 + g.n_cells
 
 
+def test_field_csv_matches_the_row_by_row_text():
+    g = build_sector_grid(4, 3.0, 0.5)
+    values = np.random.default_rng(1).standard_normal(g.shape)
+    values[0, :3] = (0.0, -0.0, 1e-300)
+    text = (f"# k={g.k} r_out={g.r_out:.17e} n_rho={g.n_rho} n_theta={g.n_theta}\n"
+            "rho,theta,value\n")
+    for i in range(g.n_rho):
+        for j in range(g.n_theta):
+            text += f"{g.rho[i]:.17e},{g.theta[j]:.17e},{values[i, j]:.17e}\n"
+    assert g.to_csv(values.ravel()) == text
+
+
 def test_stiffness_matrix_matches_face_sum():
     """u.K v is the finite-volume Dirichlet form, written face by face.
 

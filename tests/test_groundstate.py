@@ -130,12 +130,31 @@ def test_estimate_skips_shootings_and_leaves_the_profile_bit_identical(
     # without the estimate every midpoint is shot
     monkeypatch.setattr(groundstate, "_u0_estimate", lambda *args: None)
     shot = solve_ground_state(dimension, exponent)
-    assert n_fast <= 15 < len(shots) - n_fast
+    assert n_fast <= 7 < len(shots) - n_fast
     assert np.array_equal(fast.s, shot.s)
     assert np.array_equal(fast.values, shot.values)
     assert np.array_equal(fast.derivatives, shot.derivatives)
     assert fast.far_field_amplitude == shot.far_field_amplitude
     assert fast.residual == shot.residual
+
+
+def test_an_estimate_outside_the_slack_shoots_every_height(profile2d, monkeypatch):
+    """Confirming shots of one class leave every height to be shot, and the
+    profile is the one the close estimate gives, bit for bit."""
+    shots = []
+    shoot = groundstate.classify_trajectory
+    monkeypatch.setattr(groundstate, "classify_trajectory",
+                        lambda *args: shots.append(args) or shoot(*args))
+    monkeypatch.setattr(groundstate, "_u0_estimate",
+                        lambda *args: profile2d.u0 * (1.0 + 1e-7))
+    far = solve_ground_state(2, 3.0)
+    assert [shoot(*args) for args in shots[:2]] == ["crosses", "crosses"]
+    assert len(shots) >= 35
+    assert np.array_equal(far.s, profile2d.s)
+    assert np.array_equal(far.values, profile2d.values)
+    assert np.array_equal(far.derivatives, profile2d.derivatives)
+    assert far.far_field_amplitude == profile2d.far_field_amplitude
+    assert far.residual == profile2d.residual
 
 
 def test_near_critical_solve_ends_in_a_typed_error():

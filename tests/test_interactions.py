@@ -6,6 +6,7 @@ Psi(4) = 0.55190 and Psi(8) = 7.2513e-3 for the planar cubic problem.
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from multibump import (
     ValidationError,
@@ -16,12 +17,34 @@ from multibump import (
 )
 from multibump.geometry import admissible_radii
 from multibump.groundstate import ExpansionConstants
-from multibump.interactions import ring_energy_numeric, single_bump_energy_report
+from multibump.interactions import (FIT_RANGE, _simpson_nodes, fit_separations,
+                                    ring_energy_numeric, single_bump_energy_report)
 
 
 def test_interaction_integral_frozen_values(profile2d):
     assert interaction_integral(profile2d, 4.0) == pytest.approx(0.55190, rel=1e-3)
     assert interaction_integral(profile2d, 8.0) == pytest.approx(7.2513e-3, rel=1e-3)
+
+
+def test_half_range_angle_sum_matches_the_full_circle(profile2d):
+    """Psi(d) and the fitted law from angles in [0, pi] match the 256-angle
+    trapezoid sum over the full circle, written out here."""
+    p = profile2d.exponent
+
+    def full_circle(d):
+        s = _simpson_nodes(0.0, d + profile2d.s_max + 5.0, 0.025)
+        w = 2.0 * np.pi * np.arange(256) / 256
+        dist = np.sqrt(s[:, None] ** 2 + d * d - 2.0 * d * s[:, None] * np.cos(w)[None, :])
+        ang = profile2d(dist).sum(axis=1) * (2.0 * np.pi / 256)
+        return float(simpson(profile2d(s) ** p * ang * s, x=s))
+
+    for d in (4.0, 8.0, 12.0, 16.0):
+        assert interaction_integral(profile2d, d) == pytest.approx(full_circle(d), rel=1e-14)
+    ds = fit_separations(*FIT_RANGE)
+    half = fit_interaction_law([(d, interaction_integral(profile2d, d)) for d in ds])
+    full = fit_interaction_law([(d, full_circle(d)) for d in ds])
+    for name in ("amplitude", "lam", "nu"):
+        assert getattr(half, name) == pytest.approx(getattr(full, name), rel=1e-14), name
 
 
 def test_interaction_integral_decays(profile2d):

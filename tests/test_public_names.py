@@ -1,11 +1,14 @@
 """Every name a module exports through ``__all__``, or the benchmark's
-trace patches, exists; and two package-wide rules on the classes."""
+trace patches, exists; package-wide rules on the classes; and what
+importing the package loads."""
 
 import dataclasses
 import importlib
 import pathlib
 import pkgutil
+import os
 import re
+import subprocess
 import sys
 
 import multibump
@@ -96,3 +99,13 @@ def test_no_module_reads_a_private_attribute_of_the_reduction_context():
         if re.search(rf"\.{name}\b", path.read_text())
     ]
     assert readers == []
+
+
+def test_importing_the_package_and_cli_loads_no_process_pool():
+    """Only a study that starts worker processes imports the pool module."""
+    src = pathlib.Path(multibump.__file__).parents[1]
+    code = ("import sys, multibump, multibump.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "False"
